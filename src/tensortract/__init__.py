@@ -28,6 +28,6 @@ from .reduction import (DiscreteProblem, Functional, build_Ig, e0_functional,
                         top_eigenpair, verify_domination,
                         verify_e0_characterization)
 from .spectra import (QUAD_TOL, REL_TIE, Eigenpair, EigenSequence, KernelSpec,
-                      gram_matrix, kernel_eval, tensor_kernel_eval)
+                      gram_matrix, kernel_eval)
 
 __version__ = "0.1.0"

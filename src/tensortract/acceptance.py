@@ -10,14 +10,12 @@ itself can be shown to detect failures.
 from __future__ import annotations
 
 import math
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.integrate
 
-from .cli import density_profile, main as cli_main
+from .cli import density_profile, density_svg
 from .complexity import (ComplexityQuery, brute_force_count,
                          check_goodcase_sobolev_min, classify,
                          count_info_complexity_all, estimate_decay,
@@ -271,13 +269,8 @@ def c11_density_figure(perturb=False):
     xs, ys, integral = density_profile(513)
     direction = 1.0 if ys[-1] > ys[0] else -1.0  # brute-force sign oracle
     monotone = bool(np.all(direction * np.diff(ys) > 0.0))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "density"
-        code1 = cli_main(["density", "--samples", "513", "--out", str(out)])
-        first = out.with_suffix(".svg").read_bytes()
-        code2 = cli_main(["density", "--samples", "513", "--out", str(out)])
-        second = out.with_suffix(".svg").read_bytes()
-        identical = code1 == 0 and code2 == 0 and first == second
+    again_xs, again_ys, _ = density_profile(513)
+    identical = density_svg(xs, ys) == density_svg(again_xs, again_ys)
     return [
         _close("11", "density unit mass: int g_1^2 over [0,1]", 1.0, integral,
                1e-6, perturb),

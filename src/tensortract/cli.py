@@ -3,7 +3,8 @@
 Subcommands: eigs, oracle-eigs, complexity, classify, density, verify-reduction,
 reproduce.  Numbers are serialized with 17 significant digits so emitted
 tables round-trip exactly; identical configurations produce byte-identical
-output files.  Exit codes: 0 success, 2 invalid arguments, 3 resource guard,
+output files.  Exit codes: 0 success, 1 numeric failure (an internal
+consistency check fired), 2 invalid arguments, 3 resource guard,
 4 acceptance/verification failure.
 """
 
@@ -31,6 +32,7 @@ from .spectra import KernelSpec
 from .svgplot import line_plot_svg
 
 EXIT_OK = 0
+EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_FAILURE = 4
@@ -63,8 +65,6 @@ def _write_json(path, obj) -> None:
 def _emit(args, header, rows, payload) -> None:
     """Write rows as CSV or the payload as JSON, to --out or stdout."""
     fmt = args.format or "csv"
-    if fmt == "svg":
-        raise ParameterError("svg output is only produced by the density command")
     if args.out:
         if fmt == "json":
             _write_json(args.out, payload)
@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, family=True):
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=["csv", "json", "svg"], default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--config", default=None,
                        help="flat key=value file supplying defaults (flags win)")
         if family:
@@ -352,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-reduction", help="finite-dimensional reduction checks")
     common(p, family=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problems", type=int, default=100)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--samples", type=int, default=20)
@@ -372,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> list[str]:
     """Flat key=value lines become '--key value' argument pairs."""
     extra: list[str] = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file: {exc}") from exc
+    with fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -387,7 +391,10 @@ def _read_config(path: str) -> list[str]:
 def _merge_config(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
-    path = argv[argv.index("--config") + 1]
+    at = argv.index("--config")
+    if at + 1 == len(argv):
+        raise ParameterError("--config needs a file path")
+    path = argv[at + 1]
     extra = _read_config(path)
     # insert config pairs right after the subcommand so explicit flags,
     # which come later, win on conflict
@@ -411,7 +418,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ from .spectra import REL_TIE
 
 _SPD_RTOL = 1e-12
 _SUBSET_GUARD = 10 ** 6
-_GS_DROP_TOL = 1e-10
+# Power iteration on SS* stops once a step moves g less than this in the G
+# norm; the cap bounds the work when the top two eigenvalues nearly tie.
+_POWER_STEP_TOL = 1e-13
+_POWER_MAX_ITERS = 50_000
 
 
 @dataclass
@@ -140,45 +143,6 @@ def e0_functional(problem: DiscreteProblem, functional: Functional) -> float:
     return math.sqrt(max(float(r @ problem.gram_F @ r), 0.0))
 
 
-def _gram_schmidt(columns: np.ndarray, gram: np.ndarray,
-                  expected_rank: int | None = None) -> np.ndarray:
-    """Orthonormalize columns in the inner product <u, v> = u' gram v.
-
-    Modified Gram-Schmidt with one reorthogonalization pass; columns whose
-    residual drops below the rank tolerance are discarded.
-    """
-    basis: list[np.ndarray] = []
-    scale = math.sqrt(max(np.max(np.abs(gram)), 1e-300))
-    for v in columns.T:
-        v = v.astype(float).copy()
-        norm0 = math.sqrt(max(float(v @ gram @ v), 0.0))
-        if norm0 == 0.0:
-            continue
-        for _ in range(2):
-            for u in basis:
-                v -= float(u @ gram @ v) * u
-        nrm = math.sqrt(max(float(v @ gram @ v), 0.0))
-        if nrm > _GS_DROP_TOL * scale * max(np.max(np.abs(v)), 1.0) and nrm > _GS_DROP_TOL * norm0:
-            basis.append(v / nrm)
-    out = np.column_stack(basis) if basis else np.zeros((columns.shape[0], 0))
-    if expected_rank is not None and out.shape[1] != expected_rank:
-        raise NumericError(f"orthonormalization rank {out.shape[1]}, expected {expected_rank}")
-    return out
-
-
-def _annihilator_basis(problem: DiscreteProblem, idx: list[int]) -> np.ndarray:
-    """F-orthonormal basis of {f : f(p_i) = 0 for sampled i}: project the
-    sampled kernel sections out of the coordinate basis."""
-    m = problem.m
-    G = problem.gram_F
-    if not idx:
-        return _gram_schmidt(np.eye(m), G, expected_rank=m)
-    sections = np.eye(m)[:, idx]
-    U = _gram_schmidt(sections, G, expected_rank=len(idx))
-    residual = np.eye(m) - U @ (U.T @ G)
-    return _gram_schmidt(residual, G, expected_rank=m - len(idx))
-
-
 def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -> float:
     """Worst-case error of the optimal algorithm for fixed sample points:
     sup{ ||target f|| : ||f||_F <= 1, f(p) = 0 for all sampled p }.
@@ -186,16 +150,30 @@ def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -
     ``target`` is the string 'operator' (meaning S itself) or a Functional.
     """
     idx = problem.point_indices(points)
-    N = _annihilator_basis(problem, idx)
-    if N.shape[1] == 0:
-        return 0.0
-    if isinstance(target, Functional):
-        vec = N.T @ (problem.gram_F @ target.representer)
-        return float(np.linalg.norm(vec))
-    if not (isinstance(target, str) and target == "operator"):
+    if not (isinstance(target, Functional) or (isinstance(target, str) and target == "operator")):
         raise ParameterError("target must be 'operator' or a Functional")
-    H = N.T @ _operator_quadratic_form(problem) @ N
-    top = scipy.linalg.eigvalsh(H)[-1]
+    if len(idx) == problem.m:
+        return 0.0  # only f = 0 vanishes at every domain point
+    # The F-orthogonal projector onto the annihilator of the sampled kernel
+    # sections is Pi = I - E_P gram_F[P,P]^-1 gram_F[P,:], because in
+    # coefficients the section at p_i is the unit vector e_i.  Its columns in
+    # P vanish, so the columns N = Pi[:, Q] outside P are a basis of the
+    # annihilator, and Pi c = N c_Q.
+    G = problem.gram_F
+    rest = [i for i in range(problem.m) if i not in idx]
+    N = np.eye(problem.m)[:, rest]
+    if idx:
+        try:
+            factor = scipy.linalg.cho_factor(G[np.ix_(idx, idx)])
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericError(f"sampled kernel sections are not independent: {exc}") from exc
+        N[idx, :] = -scipy.linalg.cho_solve(factor, G[np.ix_(idx, rest)])
+    if isinstance(target, Functional):
+        v = N @ target.representer[rest]
+        return math.sqrt(max(float(v @ G @ v), 0.0))
+    # sup of c' Pi' A Pi c / c' G c: for fixed c_Q the denominator is least at
+    # c = N c_Q, so the top eigenvalue of (N' A N, N' G N) is the same number
+    top = scipy.linalg.eigvalsh(N.T @ _operator_quadratic_form(problem) @ N, N.T @ G @ N)[-1]
     return math.sqrt(max(float(top), 0.0))
 
 
@@ -334,15 +312,16 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
         raise ParameterError("need at least one search sample")
     lam1, basis = top_eigenspace_basis(problem)
     mult = basis.shape[1]
-    S, M, G = problem.operator_S, problem.gram_G, problem.gram_F
+    S, M = problem.operator_S, problem.gram_G
     rng = np.random.default_rng(seed)
 
     # G-orthonormal basis of S(top eigenspace): columns S eta_i / sqrt(lambda_1)
     V = (S @ basis) / math.sqrt(lam1)
+    # SS* in G coordinates: S* g has F coordinates gram_F^-1 S' M g
+    P = S @ np.linalg.solve(problem.gram_F, S.T @ M)
 
     def s_star_norm(g):
-        r = np.linalg.solve(G, S.T @ (M @ g))
-        return math.sqrt(max(float(r @ G @ r), 0.0))
+        return math.sqrt(max(float(g @ M @ (P @ g)), 0.0))
 
     forward_defect = 0.0
     for _ in range(10):
@@ -360,12 +339,18 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
     for _ in range(samples):
         g = rng.standard_normal(problem.k)
         g /= math.sqrt(float(g @ M @ g))
-        for _ in range(80):
-            g = S @ np.linalg.solve(G, S.T @ (M @ g))
-            nrm = math.sqrt(float(g @ M @ g))
+        for _ in range(_POWER_MAX_ITERS):
+            h = P @ g
+            nrm = math.sqrt(max(float(h @ M @ h), 0.0))
             if nrm == 0.0:
                 break
-            g /= nrm
+            h /= nrm
+            step, g = h - g, h
+            if float(step @ M @ step) < _POWER_STEP_TOL ** 2:
+                break
+        else:
+            raise NumericError(f"power iteration on SS* did not settle in "
+                               f"{_POWER_MAX_ITERS} steps (top eigenvalues nearly tied)")
         if nrm == 0.0:
             continue
         if s_star_norm(g) >= math.sqrt(lam1) - 1e-8:

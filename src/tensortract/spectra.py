@@ -1,8 +1,8 @@
 """Shared domain types and univariate kernel evaluation.
 
-Every supported reproducing kernel lives on [0, 1] (or on a finite label set
-for the ``discrete`` family) and every operation in this module is a pure
-function of immutable inputs, so unrestricted data-parallel use is safe.
+Every supported reproducing kernel lives on [0, 1] and every operation in
+this module is a pure function of immutable inputs, so unrestricted
+data-parallel use is safe.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import mpmath
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 # Centralized tolerance conventions.
 REL_TIE = 1e-12   # relative tolerance for eigenvalue tie decisions
@@ -26,7 +26,6 @@ FAMILIES = (
     "korobov",
     "sobolev-distance",
     "brownian-min",
-    "discrete",
 )
 
 
@@ -35,16 +34,13 @@ class KernelSpec:
     """A univariate kernel family together with its parameters.
 
     ``korobov`` requires ``alpha > 1/2`` and ``beta`` in (0, 1];
-    ``sobolev-distance`` requires an anchor ``a`` in [0, 1]; ``discrete``
-    carries its finite domain (labels) and kernel values explicitly.
+    ``sobolev-distance`` requires an anchor ``a`` in [0, 1].
     """
 
     family: str
     alpha: float | None = None
     beta: float | None = None
     a: float | None = None
-    points: tuple = ()
-    gram: tuple = ()
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -59,10 +55,6 @@ class KernelSpec:
         if self.family == "sobolev-distance":
             if self.a is None or not 0.0 <= self.a <= 1.0:
                 raise ParameterError(f"sobolev-distance anchor must lie in [0, 1], got {self.a}")
-        if self.family == "discrete":
-            n = len(self.points)
-            if n == 0 or len(self.gram) != n or any(len(row) != n for row in self.gram):
-                raise ParameterError("discrete family needs points and a square gram")
 
     def label(self) -> str:
         if self.family == "korobov":
@@ -72,7 +64,7 @@ class KernelSpec:
         return self.family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSequence:
     """Ordered eigenvalues lambda_1 >= lambda_2 >= ... >= 0 of W = S*S.
 
@@ -91,6 +83,8 @@ class EigenSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("eigenvalue list must be a nonempty vector")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("eigenvalues must be finite")
         if self.source not in ("analytic-rule", "numeric", "user-supplied"):
             raise ParameterError(f"unknown source tag {self.source!r}")
         if not vals[0] > 0.0:
@@ -177,14 +171,6 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
     Symmetric in (x, y) and positive semidefinite on any finite point set.
     Raises DomainError for arguments outside the kernel's domain.
     """
-    if spec.family == "discrete":
-        try:
-            i = spec.points.index(x)
-            j = spec.points.index(y)
-        except ValueError:
-            raise DomainError(f"({x!r}, {y!r}) not in the discrete domain") from None
-        return float(spec.gram[i][j])
-
     x = _check_unit_interval(x, "x")
     y = _check_unit_interval(y, "y")
     if spec.family == "sobolev-min":
@@ -200,23 +186,8 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
     return 1.0 + 2.0 * spec.beta * _korobov_series(abs(x - y), spec.alpha)
 
 
-def tensor_kernel_eval(spec: KernelSpec, x: Sequence[float], y: Sequence[float]) -> float:
-    """Evaluate the d-fold tensor-product kernel, the product of K_1 values."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape or x.ndim != 1 or x.size < 1:
-        raise DimensionError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    out = 1.0
-    for xj, yj in zip(x, y):
-        out *= kernel_eval(spec, xj, yj)
-    return out
-
-
 def gram_matrix(spec: KernelSpec, points: Sequence[float]) -> np.ndarray:
     """Assemble the exactly-symmetric kernel Gram matrix on a point set."""
-    if spec.family == "discrete":
-        return np.array([[kernel_eval(spec, p, q) for q in points] for p in points])
-
     x = np.asarray(points, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise DomainError("points outside [0, 1]")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -199,8 +200,36 @@ def test_density_needs_two_samples():
 
 
 def test_svg_format_rejected_outside_density():
-    assert run(["eigs", "--family", "sobolev-min", "--count", "2",
-                "--format", "svg"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["eigs", "--family", "sobolev-min", "--count", "2", "--format", "svg"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eigs", "oracle-eigs", "classify", "density", "reproduce"])
+def test_seed_only_on_verify_reduction(command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--seed", "3"])
+    assert exc.value.code == 2
+
+
+def test_config_flag_without_path_exits_2(tmp_path, capsys):
+    assert run(["eigs", "--config"]) == 2
+    assert run(["eigs", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_reduction_slow_power_iteration_seed():
+    # instance 4 has lambda_2 / lambda_1 = 0.857: a fixed 80-step power
+    # iteration stopped 7e-5 short of the top eigenspace and reported a failure
+    assert run(["verify-reduction", "--problems", "5", "--trials", "2",
+                "--samples", "5", "--seed", "504"]) == 0
+
+
+def test_reproduce_prints_only_the_table(capsys):
+    assert run(["reproduce", "--only", "11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+    assert all(re.match(r"\[(PASS|FAIL)\] +11 ", line) for line in lines[:-1]), lines
 
 
 def test_verify_reduction_byte_identical_for_same_seed(tmp_path):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tensortract import (DiscreteProblem, ParameterError, ResourceLimitError,
+from tensortract import (DiscreteProblem, Functional, NumericError,
+                         ParameterError, ResourceLimitError,
                          build_Ig, e0_functional, subcube_indicator_functional,
                          piecewise_constant_instance, cube_mean_functional,
                          fixed_info_radius, load_problem, minimal_error_std,
@@ -124,6 +126,46 @@ def test_fixed_info_radius_monotone_under_more_points():
         assert all(a >= b - 1e-10 for a, b in zip(radii, radii[1:]))
 
 
+def _null_space_radius(problem, target, points):
+    """Independent route to the radius: an orthonormal basis Z of the null
+    space of gram_F[P,:] (the coefficients of the functions vanishing at P)."""
+    G = problem.gram_F
+    idx = problem.point_indices(points)
+    Z = scipy.linalg.null_space(G[idx, :]) if idx else np.eye(problem.m)
+    if Z.shape[1] == 0:
+        return 0.0
+    GZ = Z.T @ G @ Z
+    if isinstance(target, Functional):
+        b = Z.T @ G @ target.representer
+        return math.sqrt(float(b @ np.linalg.solve(GZ, b)))
+    A = problem.operator_S.T @ problem.gram_G @ problem.operator_S
+    return math.sqrt(max(float(scipy.linalg.eigvalsh(Z.T @ A @ Z, GZ)[-1]), 0.0))
+
+
+def test_fixed_info_radius_matches_null_space_oracle():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for seed in range(60):
+        m = int(rng.integers(1, 10))
+        k = int(rng.integers(1, 5))
+        p = random_problem(seed=seed, m=m, k=k)
+        func = build_Ig(p, _unit_g(p, rng))
+        for n in sorted({0, m, int(rng.integers(0, m + 1)), int(rng.integers(0, m + 1))}):
+            subset = tuple(rng.choice(m, size=n, replace=False).tolist())
+            for target in ("operator", func):
+                fast = fixed_info_radius(p, target, subset)
+                slow = _null_space_radius(p, target, subset)
+                assert fast == pytest.approx(slow, rel=1e-12, abs=0.0), (seed, subset, target)
+                cases += 1
+    assert cases >= 200
+
+
+def test_fixed_info_radius_rejects_unknown_target():
+    p = random_problem(seed=1, m=3, k=2)
+    with pytest.raises(ParameterError):
+        fixed_info_radius(p, "functional", ())
+
+
 def test_fixed_info_radius_rejects_duplicates():
     p = piecewise_constant_instance(1)
     with pytest.raises(ParameterError):
@@ -194,6 +236,14 @@ def test_verify_e0_characterization_multiplicities():
         assert report.achievers > 0
         assert report.max_achiever_distance <= 1e-6
         assert report.strict_gap_margin >= 0.0
+
+
+def test_verify_e0_characterization_unsettled_power_iteration_raises():
+    # lambda_2 / lambda_1 = 1 - 1e-7 is no tie, but no step budget resolves
+    # the top eigenspace: the check must fail loudly instead of giving a verdict
+    p = random_problem_with_multiplicity(seed=1, m=4, multiplicity=1, gap=1e-7)
+    with pytest.raises(NumericError):
+        verify_e0_characterization(p, samples=1, seed=0)
 
 
 def test_piecewise_model_any_unit_g_attains_e0():

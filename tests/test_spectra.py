@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensortract import (DimensionError, DomainError, EigenSequence,
-                         KernelSpec, ParameterError, gram_matrix, kernel_eval,
-                         tensor_kernel_eval)
+from tensortract import (DomainError, EigenSequence, KernelSpec,
+                         ParameterError, gram_matrix, kernel_eval)
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
@@ -71,14 +70,6 @@ def test_out_of_domain_rejected():
         kernel_eval(MIN, 0.5, 1.5)
 
 
-def test_discrete_family_lookup():
-    spec = KernelSpec("discrete", points=("a", "b"), gram=((2.0, 0.0), (0.0, 2.0)))
-    assert kernel_eval(spec, "a", "a") == 2.0
-    assert kernel_eval(spec, "a", "b") == 0.0
-    with pytest.raises(DomainError):
-        kernel_eval(spec, "a", "c")
-
-
 @settings(max_examples=40, deadline=None)
 @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
 def test_kernel_symmetry(x, y):
@@ -106,27 +97,6 @@ def test_gram_matrix_matches_scalar_eval():
                 assert gram[i, j] == pytest.approx(kernel_eval(spec, x, y), abs=1e-12)
 
 
-def test_tensor_kernel_product():
-    assert tensor_kernel_eval(MIN, [0.0, 0.0], [0.0, 0.0]) == 1.0
-    assert tensor_kernel_eval(MIN, [1.0, 1.0], [1.0, 1.0]) == 4.0
-    x = [0.5, 0.25, 1.0]
-    assert tensor_kernel_eval(MIN, x, x) == pytest.approx(1.5 * 1.25 * 2.0, abs=1e-15)
-
-
-@settings(max_examples=25, deadline=None)
-@given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
-def test_tensor_consistency_dimension_one(x, y):
-    assert tensor_kernel_eval(MIN, [x], [y]) == kernel_eval(MIN, x, y)
-    assert tensor_kernel_eval(COSH, [x], [y]) == kernel_eval(COSH, x, y)
-
-
-def test_tensor_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        tensor_kernel_eval(MIN, [0.1, 0.2], [0.3])
-    with pytest.raises(DimensionError):
-        tensor_kernel_eval(MIN, [], [])
-
-
 def test_eigen_sequence_invariants():
     seq = EigenSequence(np.array([2.0, 1.0, 1.0, 0.0]), is_exhaustive=True)
     assert len(seq) == 4
@@ -138,6 +108,37 @@ def test_eigen_sequence_invariants():
         EigenSequence(np.array([1.0, -0.5]))         # negative
     with pytest.raises(ParameterError):
         EigenSequence(np.array([1.0]), source="bogus")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigen_sequence_rejects_non_finite(bad):
+    # NaN fails every comparison, so the ordering checks alone let it through
+    with pytest.raises(ParameterError):
+        EigenSequence([1.0, bad, 0.1])
+    with pytest.raises(ParameterError):
+        EigenSequence([bad, 0.5])
+
+
+def test_eigen_sequence_equality_does_not_raise():
+    a = EigenSequence([1.0, 0.5])
+    assert a == a
+    assert isinstance(a == EigenSequence([1.0, 0.5]), bool)
+    assert a != "not a sequence"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8))
+def test_eigen_sequence_validator_property(values):
+    # either rejected with ParameterError, or every documented invariant holds
+    try:
+        seq = EigenSequence(values)
+    except ParameterError:
+        return
+    vals = seq.values
+    assert np.all(np.isfinite(vals))
+    assert vals[0] > 0.0
+    assert np.all(vals >= 0.0)
+    assert np.all(np.diff(vals) <= 0.0)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
