@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.integrate
 
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
@@ -101,6 +100,10 @@ def density_profile(samples: int):
     scale = 1.0 / math.sqrt(pair.value)
     xs = np.linspace(0.0, 1.0, samples)
     ys = scale * pair.func(xs)
+    # imported here, not at the top: scipy.integrate is about 40 % of the
+    # start-up import, and only density and reproduce need it
+    import scipy.integrate
+
     qx = np.linspace(0.0, 1.0, _DENSITY_QUAD_NODES)
     integral = float(scipy.integrate.simpson((scale * pair.func(qx)) ** 2, x=qx))
     return xs, ys, integral
