@@ -16,7 +16,7 @@ from .eigensolve import (FamilySpectrum, family_eigenpair, family_eigenvalues,
                          sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
                          sobolev_min_eigenpair, sobolev_min_eigenvalues,
                          solve_cot_root)
-from .errors import (DimensionError, DomainError, NumericError, ParameterError,
+from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import (QuadratureGrid, RefinedSpectrum, midpoint_grid,
                       nystrom_spectrum, richardson_refine)

@@ -154,25 +154,19 @@ def cmd_oracle_eigs(args) -> int:
     return EXIT_OK
 
 
-def _eigenvalues_for_budget(spec: KernelSpec, eps: float) -> "EigenSequence":
-    """Grow the analytic eigenvalue list until the counting budget is covered."""
-    budget = 2.0 * math.log(1.0 / eps)
-    count = 64
-    while True:
-        seq = family_eigenvalues(spec, count)
-        w_last = math.log(seq.values[0]) - math.log(seq.values[-1]) if seq.values[-1] > 0 else math.inf
-        if w_last >= budget or seq.is_exhaustive:
-            return seq
-        if count > 2 ** 21:
-            raise ResourceLimitError("eps requires more than 2^21 univariate eigenvalues")
-        count *= 2
-
-
 def cmd_complexity(args) -> int:
     spec = _family_spec(args)
-    eigs = _eigenvalues_for_budget(spec, args.eps)
     query = ComplexityQuery(eps=args.eps, d=args.d, info_class=args.info_class)
-    result = count_info_complexity_all(eigs, query)
+    count = 64
+    while True:
+        try:
+            result = count_info_complexity_all(family_eigenvalues(spec, count), query)
+            break
+        except TruncationError as exc:
+            if exc.required > 2 ** 21:
+                raise ResourceLimitError("eps requires more than 2^21 univariate "
+                                         "eigenvalues") from exc
+            count = exc.required
     header = ["family", "d", "eps", "info_class", "count", "saturated",
               "lower_bound_only", "truncation_index", "tie_tolerance", "method"]
     row = [spec.label(), args.d, args.eps, args.info_class, result.count,
@@ -309,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproducing-kernel Hilbert spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
+    def common(p, family=True, tabular=True):
         p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--format", choices=["csv", "json"], default=None)
+        if tabular:
+            p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--config", default=None,
                        help="flat key=value file supplying defaults (flags win)")
         if family:
@@ -348,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("density", help="unit-norm density matching the initial error")
-    common(p)
+    common(p, tabular=False)
     p.add_argument("--samples", type=int, default=513)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify-reduction", help="finite-dimensional reduction checks")
-    common(p, family=False)
+    common(p, family=False, tabular=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problems", type=int, default=100)
     p.add_argument("--trials", type=int, default=3)
@@ -392,12 +387,16 @@ def _read_config(path: str) -> list[str]:
 
 
 def _merge_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    # a parser of --config alone finds it in every spelling argparse accepts
+    # (--config=FILE, abbreviations such as --conf) and leaves the rest alone
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        raise ParameterError("--config needs a file path") from exc
+    if path is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        raise ParameterError("--config needs a file path")
-    path = argv[at + 1]
     extra = _read_config(path)
     # insert config pairs right after the subcommand so explicit flags,
     # which come later, win on conflict

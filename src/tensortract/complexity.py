@@ -3,16 +3,15 @@
 For the class of arbitrary linear functionals, n(eps, S_d) equals the number
 of product eigenvalues lambda_{j_1} ... lambda_{j_d} exceeding
 eps^2 lambda_1^d.  Counting runs in log space over weights
-w_j = ln(lambda_1 / lambda_j), enumerating nondecreasing index multisets with
-multinomial multiplicities and branch-and-bound pruning, so dimensions in the
-hundreds stay exact (Python integers) without underflow.
+w_j = ln(lambda_1 / lambda_j) and is split over the tied top eigenvalue
+("tie-split", see _multiset_count), so counts stay exact (Python integers)
+and free of underflow for every d.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,38 +99,39 @@ def _participating_weights(eigs: EigenSequence, budget: float) -> np.ndarray:
 def _multiset_count(w: np.ndarray, d: int, budget: float) -> int:
     """Number of ordered d-tuples with total weight strictly below budget.
 
-    Depth-first search over nondecreasing index multisets; each multiset
-    contributes binomially (which positions take the current index), which
-    expands to the multinomial multiplicity overall.  Prune a subtree when
-    even d copies of its cheapest index exceed the remaining budget.
+    The r indices of weight exactly zero (a top eigenvalue of multiplicity r)
+    fill any of the d positions at no cost.  With c_k the number of ordered
+    k-tuples over the positive weights v that stay below the budget,
+
+        n = sum_k C(d, k) r^(d-k) c_k,    k <= min(d, ceil(budget / v[0])).
+
+    c_k adds the multinomial k! / prod t! of every nondecreasing index
+    multiset, enumerated with an explicit stack.  A branch is cut when its
+    cheapest index times the slots left reaches the residual budget; the
+    residual drops index by index, so the float comparisons are the same for
+    every d.
     """
-    L = len(w)
+    r = int(np.count_nonzero(w == 0.0))
+    v = w[r:].tolist()
+    k_max = min(d, math.ceil(budget / v[0])) if v else 0
     comb = math.comb
-
-    def rec(slots: int, start: int, residual: float) -> int:
-        if slots == 0:
-            return 1
-        if start >= L:
-            return 0
-        if w[start] * slots >= residual:
-            return 0
-        total = 0
-        for t in range(slots + 1):
-            cost = t * w[start]
-            if cost >= residual:
-                break
-            sub = rec(slots - t, start + 1, residual - cost)
-            if sub:
-                total += comb(slots, t) * sub
-        return total
-
-    # recursion descends one level per participating index
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, L + d + 128))
-    try:
-        return rec(d, 0, budget)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    total = 0
+    for k in range(k_max + 1):
+        c_k = 0
+        stack = [(0, k, budget, 1)]  # next index, slots left, residual, multiplicity
+        while stack:
+            start, slots, residual, mult = stack.pop()
+            if slots == 0:
+                c_k += mult
+                continue
+            for j in range(start, len(v)):
+                if v[j] * slots >= residual:
+                    break
+                for t in range(1, slots + 1):
+                    stack.append((j + 1, slots - t, residual - t * v[j],
+                                  mult * comb(slots, t)))
+        total += comb(d, k) * r ** (d - k) * c_k
+    return total
 
 
 def count_info_complexity_all(eigs: EigenSequence, query: ComplexityQuery) -> ComplexityResult:
@@ -148,7 +148,7 @@ def count_info_complexity_all(eigs: EigenSequence, query: ComplexityQuery) -> Co
         count=COUNT_SATURATION if saturated else count,
         truncation_index=len(w),
         tie_tolerance=_TIE,
-        method="dfs-multiset",
+        method="tie-split",
         saturated=saturated,
         lower_bound_only=(query.info_class == "std"),
     )

@@ -9,10 +9,6 @@ class DomainError(ParameterError):
     """A point lies outside the kernel's domain."""
 
 
-class DimensionError(ParameterError):
-    """Vector arguments have mismatched dimensions."""
-
-
 class ResourceLimitError(RuntimeError):
     """A guarded computation would exceed its enumeration budget."""
 

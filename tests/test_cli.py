@@ -70,7 +70,7 @@ def test_complexity_command(tmp_path):
                 "--out", str(out), "--format", "json"]) == 0
     data = json.loads(out.read_text())
     assert data["count"] == 3
-    assert data["method"] == "dfs-multiset"
+    assert data["method"] == "tie-split"
     assert not data["saturated"]
 
 
@@ -216,6 +216,23 @@ def test_config_flag_without_path_exits_2(tmp_path, capsys):
     assert run(["eigs", "--config"]) == 2
     assert run(["eigs", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", [("--config", "{}"), ("--config={}",), ("--conf", "{}"),
+                                  ("--conf={}",)],
+                         ids=["separate", "equals", "abbreviated", "abbreviated-equals"])
+def test_config_file_applied_in_every_spelling(tmp_path, capsys, form):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("count=3\n")
+    assert run(["eigs", *(token.format(cfg) for token in form)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("command", ["density", "verify-reduction"])
+def test_format_only_where_it_is_used(command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_verify_reduction_slow_power_iteration_seed():

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          ParameterError, ResourceLimitError, TruncationError,
@@ -11,6 +13,7 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          korobov_eigenvalues, qpt_exponent,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
                          sobolev_min_eigenvalues)
+from tensortract.complexity import _effective_budget, _participating_weights
 
 KOR = korobov_eigenvalues(1.0, 0.5, 40)
 KOR_TIE = korobov_eigenvalues(1.0, 1.0, 40)
@@ -47,7 +50,7 @@ def test_dfs_matches_brute_force_on_selected_cases():
         fast = count_info_complexity_all(eigs, q)
         slow = brute_force_count(eigs, q)
         assert fast.count == slow.count
-        assert fast.method == "dfs-multiset"
+        assert fast.method == "tie-split"
         assert slow.method == "direct-enum"
 
 
@@ -65,6 +68,89 @@ def test_randomized_equivalence_quick():
         q = ComplexityQuery(eps=float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])),
                             d=int(rng.integers(1, 5)))
         assert count_info_complexity_all(eigs, q).count == brute_force_count(eigs, q).count
+
+
+def dfs_count(w, d, budget):
+    """The recursive multiset DFS that counted before the split over the
+    tied top eigenvalue; an oracle for d <= 40, where its depth (one level
+    per index) stays far below the default recursion limit."""
+    def rec(slots, start, residual):
+        if slots == 0:
+            return 1
+        if start >= len(w) or w[start] * slots >= residual:
+            return 0
+        total = 0
+        for t in range(slots + 1):
+            cost = t * w[start]
+            if cost >= residual:
+                break
+            total += math.comb(slots, t) * rec(slots - t, start + 1, residual - cost)
+        return total
+    return rec(d, 0, budget)
+
+
+def tied_spectra(max_rest):
+    """Exhaustive spectra whose top eigenvalue has exact multiplicity 1-4,
+    followed by up to six smaller eigenvalues (at most max_rest times the
+    top; near ties cost the d <= 40 oracle about d^(r+1)) and up to two
+    zeros."""
+    return st.builds(
+        lambda r, rest, zeros, scale: EigenSequence(
+            scale * np.array([1.0] * r + sorted(rest, reverse=True) + [0.0] * zeros),
+            is_exhaustive=True),
+        st.integers(1, 4), st.lists(st.floats(0.01, max_rest), max_size=6),
+        st.integers(0, 2), st.sampled_from([1.0, 0.37, 2.5]))
+
+
+KOROBOV_SPECTRA = st.builds(lambda a, b: korobov_eigenvalues(a, b, 120),
+                            st.floats(0.8, 2.2), st.floats(0.1, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(tied_spectra(1.0 - 1e-6), KOROBOV_SPECTRA), st.floats(0.1, 0.9),
+       st.integers(1, 4))
+def test_count_matches_brute_force_property(eigs, eps, d):
+    q = ComplexityQuery(eps=eps, d=d)
+    assert count_info_complexity_all(eigs, q).count == brute_force_count(eigs, q).count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(tied_spectra(0.6), KOROBOV_SPECTRA), st.floats(0.1, 0.9),
+       st.integers(1, 40))
+def test_count_matches_recursive_dfs_property(eigs, eps, d):
+    budget = _effective_budget(eps)
+    expected = dfs_count(_participating_weights(eigs, budget), d, budget)
+    res = count_info_complexity_all(eigs, ComplexityQuery(eps=eps, d=d))
+    assert res.saturated == (expected > 2 ** 63 - 1)
+    assert res.count == min(expected, 2 ** 63 - 1)
+
+
+def test_count_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("counting changed the process-wide recursion limit")
+
+    limit = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert count(KOR, 0.1, 200) > 0
+    assert count(KOR_TIE, 0.1, 2000) == 2 ** 63 - 1
+    assert sys.getrecursionlimit() == limit
+
+
+def test_triple_top_tie_counts_three_to_the_d():
+    eigs = EigenSequence(np.array([1.0, 1.0, 1.0, 1e-300]), is_exhaustive=True)
+    for d in (1, 2, 7, 39):
+        assert count(eigs, 0.5, d) == 3 ** d
+    res = count_info_complexity_all(eigs, ComplexityQuery(eps=0.5, d=10 ** 4))
+    assert res.saturated
+    assert res.count == 2 ** 63 - 1
+
+
+def test_near_tie_is_not_a_tie():
+    # weight w = 1.00005e-4 against a budget of 2.001e-3: at most 20 of the
+    # 40 positions may take the second index
+    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-4]), is_exhaustive=True)
+    expected = sum(math.comb(40, k) for k in range(21))
+    assert count(eigs, 0.999, 40) == expected < 2 ** 40
 
 
 def test_monotone_in_eps_and_d():
