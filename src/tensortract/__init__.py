@@ -27,7 +27,7 @@ from .reduction import (DiscreteProblem, Functional, build_Ig, e0_functional,
                         random_problem_with_multiplicity, save_problem,
                         top_eigenpair, verify_domination,
                         verify_e0_characterization)
-from .spectra import (QUAD_TOL, REL_TIE, Eigenpair, EigenSequence, KernelSpec,
+from .spectra import (REL_TIE, Eigenpair, EigenSequence, KernelSpec,
                       gram_matrix, kernel_eval)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .errors import (DomainError, NumericError, ParameterError,
 from .nystrom import midpoint_grid, nystrom_spectrum, richardson_refine
 from .reduction import (load_problem, random_problem, top_eigenpair,
                         verify_domination, verify_e0_characterization)
-from .spectra import KernelSpec
+from .spectra import FAMILIES, KernelSpec
 from .svgplot import line_plot_svg
 
 EXIT_OK = 0
@@ -310,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="flat key=value file supplying defaults (flags win)")
         if family:
-            p.add_argument("--family", default="sobolev-min",
-                           choices=["sobolev-min", "sobolev-cosh", "korobov",
-                                    "sobolev-distance", "brownian-min"])
+            p.add_argument("--family", default="sobolev-min", choices=FAMILIES)
             p.add_argument("--alpha", type=float, default=None)
             p.add_argument("--beta", type=float, default=None)
             p.add_argument("--anchor", type=float, default=None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class ComplexityQuery:
             raise ParameterError(f"eps must lie strictly inside (0, 1), got {self.eps}")
         if self.eps > 1.0 - 1e-9:
             raise ParameterError("eps this close to 1 is not resolvable at double precision")
+        try:
+            object.__setattr__(self, "d", operator.index(self.d))
+        except TypeError:
+            raise ParameterError(f"d must be an integer, got {self.d!r}") from None
         if self.d < 1:
             raise ParameterError(f"d must be >= 1, got {self.d}")
         if self.info_class not in ("all", "std"):

@@ -118,10 +118,7 @@ def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
     """{1} followed by beta * k^(-2 alpha), each with multiplicity 2."""
     if count < 1:
         raise ParameterError("count must be >= 1")
-    if not alpha > 0.5:
-        raise ParameterError(f"korobov alpha must exceed 1/2, got {alpha}")
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"korobov beta must lie in (0, 1], got {beta}")
+    KernelSpec("korobov", alpha=alpha, beta=beta)   # validates alpha and beta
     kmax = (count + 1) // 2
     pairs = beta * np.arange(1, kmax + 1, dtype=float) ** (-2.0 * alpha)
     vals = np.sort(np.concatenate([[1.0], np.repeat(pairs, 2)]))[::-1][:count]

@@ -102,8 +102,7 @@ def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> Ref
         raise ParameterError("need at least two strictly increasing grid sizes")
     if count > sizes[0]:
         raise ParameterError("count exceeds the coarsest grid size")
-    spectra = [nystrom_spectrum(spec, midpoint_grid(m), count).values for m in sizes]
-    coarse, fine = spectra[-2], spectra[-1]
+    coarse, fine = (nystrom_spectrum(spec, midpoint_grid(m), count).values for m in sizes[-2:])
     ratio = sizes[-1] / sizes[-2]
     extrap = fine + (fine - coarse) / (ratio ** 2 - 1.0)
     err = np.abs(fine - coarse)

@@ -113,13 +113,6 @@ def _eigenspace(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def top_eigenspace_basis(problem: DiscreteProblem) -> tuple[float, np.ndarray]:
-    """F-orthonormal basis of the eigenspace of the largest eigenvalue."""
-    lam, vecs = _eigenspace(problem)
-    keep = lam >= lam[-1] * (1.0 - REL_TIE)
-    return float(lam[-1]), vecs[:, keep]
-
-
 def build_Ig(problem: DiscreteProblem, g_coords: np.ndarray) -> Functional:
     """The linear functional I_g f = <f, S*g>_F = <Sf, g>_G for unit g.
 
@@ -310,7 +303,10 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
     """
     if samples < 1:
         raise ParameterError("need at least one search sample")
-    lam1, basis = top_eigenspace_basis(problem)
+    lam_all, vecs = _eigenspace(problem)
+    lam1 = float(lam_all[-1])
+    # F-orthonormal basis of the eigenspace of the largest eigenvalue
+    basis = vecs[:, lam_all >= lam1 * (1.0 - REL_TIE)]
     mult = basis.shape[1]
     S, M = problem.operator_S, problem.gram_G
     rng = np.random.default_rng(seed)
@@ -365,7 +361,6 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
 
     # strict inequality for g with a component outside S(top eigenspace)
     strict_margin = math.inf
-    lam_all, _ = _eigenspace(problem)
     lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
     for _ in range(10):
         h = rng.standard_normal(problem.k)

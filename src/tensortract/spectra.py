@@ -11,14 +11,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, ParameterError
 
-# Centralized tolerance conventions.
 REL_TIE = 1e-12   # relative tolerance for eigenvalue tie decisions
-QUAD_TOL = 1e-8   # default quadrature acceptance tolerance
 
 FAMILIES = (
     "sobolev-min",
@@ -33,8 +31,8 @@ FAMILIES = (
 class KernelSpec:
     """A univariate kernel family together with its parameters.
 
-    ``korobov`` requires ``alpha > 1/2`` and ``beta`` in (0, 1];
-    ``sobolev-distance`` requires an anchor ``a`` in [0, 1].
+    Every given parameter is finite; ``korobov`` requires ``alpha > 1/2`` and
+    ``beta`` in (0, 1]; ``sobolev-distance`` requires an anchor ``a`` in [0, 1].
     """
 
     family: str
@@ -45,6 +43,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown kernel family {self.family!r}")
+        if not all(v is None or math.isfinite(v) for v in (self.alpha, self.beta, self.a)):
+            raise ParameterError(f"kernel parameters must be finite, got {self}")
         if self.family == "korobov":
             if self.alpha is None or self.beta is None:
                 raise ParameterError("korobov needs alpha and beta")
@@ -119,11 +119,11 @@ class Eigenpair:
         return self.func(np.asarray(x, dtype=float))
 
 
-def _check_unit_interval(v: float, name: str) -> float:
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name}={v} outside [0, 1]")
-    return v
+def _unit_points(points) -> np.ndarray:
+    x = np.asarray(points, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise DomainError("points outside [0, 1]")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +138,68 @@ _B_EVEN = {
     3: (lambda t: (((t - 3.0) * t + 2.5) * t * t - 0.5) * t * t + 1.0 / 42.0),
 }
 
+# Otherwise, with s = 2 alpha and mu = 2 pi min(t, 1 - t) in [0, pi], it is
+#   A(s) mu^(s-1) + sum_j zeta(s-2j) (-1)^j mu^2j / (2j)!,  A(s) = pi / (2 Gamma(s) cos(pi s/2)),
+# whose terms fall like (mu / 2 pi)^2j <= 4^-j: 32 of them reach double precision.  From
+# s = 40 on, Gamma(s) nears overflow and 4^-s < 1e-24: three terms of the series are exact.
+# zeta(1 + d) - 1/d = sum_k (-1)^k gamma_k d^k / k!, gamma_k the Stieltjes constants:
+_ZETA1_REGULAR = (0.5772156649015329, 0.07281584548367671,
+                  -0.004845181596436159, -0.00034230573671722433)
 
-def _bernoulli_index(alpha: float) -> int | None:
+
+def _korobov_series(theta, alpha: float):
+    """sum_{k>=1} cos(2 pi k theta) / k^(2 alpha), elementwise over theta."""
+    t = np.asarray(theta, dtype=float) % 1.0
     n = int(round(alpha))
     if abs(alpha - n) < 1e-13 and n in _B_EVEN:
-        return n
-    return None
+        coeff = (-1.0) ** (n + 1) * (2.0 * math.pi) ** (2 * n) / (2.0 * math.factorial(2 * n))
+        return coeff * _B_EVEN[n](t)
+    mu = 2.0 * math.pi * np.minimum(t, 1.0 - t)
+    s = 2.0 * alpha
+    if s >= 40.0:
+        return np.cos(mu) + np.cos(2.0 * mu) * 2.0 ** -s + np.cos(3.0 * mu) * 3.0 ** -s
+    from scipy.special import factorial, polygamma, zeta  # ~60 ms: kept out of start-up
+
+    j = np.arange(32)
+    coeffs = zeta(s - 2.0 * j) * (-1.0) ** j / factorial(2 * j)
+    r = int(round(s))
+    d = s - r   # exact, so cos(pi s/2) below keeps its digits near an odd s
+    if r % 2 == 0 or abs(d) >= 1e-3:
+        half = 0.5 * math.pi * d
+        cos_half = (-1.0) ** (r // 2) * (math.cos(half) if r % 2 == 0 else -math.sin(half))
+        return math.pi / (2.0 * math.gamma(s) * cos_half) * mu ** (s - 1.0) + polyval(mu * mu, coeffs)
+    # Near s = 2n + 1 the lead term and the j = n term both have a 1/d pole.
+    # Their sum is (-1)^n mu^2n / (2n)! times [zeta(1 + d) - 1/d] - (mu^d F(d) - 1) / d,
+    # with F(d) = (pi d/2) / sin(pi d/2) * (2n)! / Gamma(2n + 1 + d).  The first
+    # bracket and log F are Taylor series in d; expm1 keeps the second exact.
+    n = r // 2
+    coeffs[n] = 0.0
+    # log F: log(x / sin x) at x = pi d/2 minus the Taylor series of log Gamma
+    log_f = [0.0] + [-float(polygamma(k - 1, 2 * n + 1)) / math.factorial(k) for k in range(1, 5)]
+    log_f[2] += math.pi ** 2 / 24.0
+    log_f[4] += math.pi ** 4 / 2880.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mu = np.log(mu)
+        pole = np.expm1(d * log_mu + polyval(d, log_f)) / d if d else log_mu + log_f[1]
+        bracket = polyval(d, _ZETA1_REGULAR) - pole
+        # mu = 0 leaves the bracket infinite only where mu^2n vanishes (n >= 1)
+        term = np.where(mu == 0.0, 0.0, mu ** (2 * n) * bracket) if n else bracket
+    return (-1.0) ** n / math.factorial(2 * n) * term + polyval(mu * mu, coeffs)
 
 
-def _korobov_series_bernoulli(theta, n: int):
-    t = theta - np.floor(theta)
-    sign = -1.0 if n % 2 == 0 else 1.0
-    coeff = sign * (2.0 * math.pi) ** (2 * n) / (2.0 * math.factorial(2 * n))
-    return coeff * _B_EVEN[n](t)
-
-
-def _korobov_series_clausen(theta: float, alpha: float) -> float:
-    t = theta - math.floor(theta)
-    return float(mpmath.clcos(2.0 * alpha, 2.0 * mpmath.pi * t))
-
-
-def _korobov_series(theta: float, alpha: float) -> float:
-    n = _bernoulli_index(alpha)
-    if n is not None:
-        return float(_korobov_series_bernoulli(theta, n))
-    return _korobov_series_clausen(theta, alpha)
+def _kernel(spec: KernelSpec, x, y):
+    """K_1(x, y), broadcast over array arguments."""
+    if spec.family == "sobolev-min":
+        return 1.0 + np.minimum(x, y)
+    if spec.family == "brownian-min":
+        return np.minimum(x, y)
+    if spec.family == "sobolev-distance":
+        a = spec.a
+        return 1.0 + 0.5 * (np.abs(x - a) + np.abs(y - a) - np.abs(x - y))
+    if spec.family == "sobolev-cosh":
+        return np.cosh(1.0 - np.maximum(x, y)) * np.cosh(np.minimum(x, y)) / math.sinh(1.0)
+    # korobov
+    return 1.0 + 2.0 * spec.beta * _korobov_series(np.abs(x - y), spec.alpha)
 
 
 def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
@@ -171,43 +208,11 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
     Symmetric in (x, y) and positive semidefinite on any finite point set.
     Raises DomainError for arguments outside the kernel's domain.
     """
-    x = _check_unit_interval(x, "x")
-    y = _check_unit_interval(y, "y")
-    if spec.family == "sobolev-min":
-        return 1.0 + min(x, y)
-    if spec.family == "brownian-min":
-        return min(x, y)
-    if spec.family == "sobolev-distance":
-        a = spec.a
-        return 1.0 + 0.5 * (abs(x - a) + abs(y - a) - abs(x - y))
-    if spec.family == "sobolev-cosh":
-        return math.cosh(1.0 - max(x, y)) * math.cosh(min(x, y)) / math.sinh(1.0)
-    # korobov
-    return 1.0 + 2.0 * spec.beta * _korobov_series(abs(x - y), spec.alpha)
+    x, y = _unit_points([x, y])
+    return float(_kernel(spec, x, y))
 
 
 def gram_matrix(spec: KernelSpec, points: Sequence[float]) -> np.ndarray:
     """Assemble the exactly-symmetric kernel Gram matrix on a point set."""
-    x = np.asarray(points, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise DomainError("points outside [0, 1]")
-    X, Y = x[:, None], x[None, :]
-    if spec.family == "sobolev-min":
-        return 1.0 + np.minimum(X, Y)
-    if spec.family == "brownian-min":
-        return np.minimum(X, Y)
-    if spec.family == "sobolev-distance":
-        a = spec.a
-        return 1.0 + 0.5 * (np.abs(X - a) + np.abs(Y - a) - np.abs(X - Y))
-    if spec.family == "sobolev-cosh":
-        return np.cosh(1.0 - np.maximum(X, Y)) * np.cosh(np.minimum(X, Y)) / math.sinh(1.0)
-
-    # korobov: the series depends on |x - y| only, so evaluate once per
-    # distinct gap (the slow Clausen path is memoized over unique gaps)
-    T = np.abs(X - Y)
-    n = _bernoulli_index(spec.alpha)
-    if n is not None:
-        return 1.0 + 2.0 * spec.beta * _korobov_series_bernoulli(T, n)
-    uniq, inverse = np.unique(T, return_inverse=True)
-    vals = np.array([_korobov_series_clausen(t, spec.alpha) for t in uniq])
-    return 1.0 + 2.0 * spec.beta * vals[inverse].reshape(T.shape)
+    x = _unit_points(points)
+    return _kernel(spec, x[:, None], x[None, :])

@@ -1,8 +1,12 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import tensortract
 from tensortract.cli import main
 
 
@@ -171,6 +175,8 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 def test_invalid_arguments_exit_code():
     assert run(["eigs", "--family", "korobov", "--alpha", "0.3",
                 "--beta", "0.5", "--count", "2"]) == 2
+    assert run(["oracle-eigs", "--family", "korobov", "--alpha", "inf",
+                "--beta", "0.5"]) == 2
 
 
 def test_resource_guard_exit_code():
@@ -256,3 +262,15 @@ def test_verify_reduction_byte_identical_for_same_seed(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_loads_neither_mpmath_nor_scipy_special():
+    # scipy.special is imported where the Korobov series needs it, and mpmath
+    # is only a test oracle
+    code = ("import sys, tensortract.cli; "
+            "print(sorted({'mpmath', 'scipy.special'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(tensortract.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"

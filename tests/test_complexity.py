@@ -214,6 +214,18 @@ def test_query_validation():
         ComplexityQuery(eps=0.5, d=1, info_class="weird")
 
 
+@pytest.mark.parametrize("d", [2.5, 2.0, "2", None])
+def test_query_rejects_non_integer_d(d):
+    with pytest.raises(ParameterError):
+        ComplexityQuery(eps=0.5, d=d)
+
+
+def test_query_accepts_numpy_integer_d():
+    q = ComplexityQuery(eps=0.5, d=np.int64(2))
+    assert type(q.d) is int
+    assert count_info_complexity_all(KOR, q).count == count(KOR, 0.5, 2)
+
+
 # ---------------------------------------------------------------------------
 # decay, exponent, classification
 # ---------------------------------------------------------------------------

@@ -149,3 +149,5 @@ def test_invalid_korobov_parameters():
         korobov_eigenvalues(0.4, 0.5, 3)
     with pytest.raises(ParameterError):
         korobov_eigenvalues(1.0, 0.0, 3)
+    with pytest.raises(ParameterError):
+        korobov_eigenvalues(math.inf, 0.5, 3)   # k^-inf would give 1, beta, beta, 0, ...

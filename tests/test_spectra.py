@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tensortract import (DomainError, EigenSequence, KernelSpec,
                          ParameterError, gram_matrix, kernel_eval)
+from tensortract.spectra import FAMILIES, _korobov_series
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
@@ -57,6 +59,63 @@ def test_korobov_invalid_parameters():
         KernelSpec("korobov", alpha=1.0, beta=1.5)
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "a"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(field, bad):
+    params = {"korobov": dict(alpha=1.0, beta=0.5), "sobolev-distance": dict(a=0.5)}
+    for family in FAMILIES:
+        with pytest.raises(ParameterError):
+            KernelSpec(family, **{**params.get(family, {}), field: bad})
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILIES + ("discrete",)),
+       alpha=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+       beta=st.none() | st.floats(allow_nan=True, allow_infinity=True),
+       a=st.none() | st.floats(allow_nan=True, allow_infinity=True))
+def test_kernel_spec_validator_property(family, alpha, beta, a):
+    # either rejected with ParameterError, or every documented constraint holds
+    try:
+        spec = KernelSpec(family, alpha=alpha, beta=beta, a=a)
+    except ParameterError:
+        return
+    assert spec.family in FAMILIES
+    assert all(v is None or math.isfinite(v) for v in (alpha, beta, a))
+    if family == "korobov":
+        assert alpha > 0.5 and 0.0 < beta <= 1.0
+    if family == "sobolev-distance":
+        assert 0.0 <= a <= 1.0
+    assert math.isfinite(kernel_eval(spec, 0.25, 0.5))
+
+
+# 2 alpha odd, near odd (both sides of the merged-pole window), even beyond
+# the Bernoulli table, and large enough that Gamma(2 alpha) overflows
+ORACLE_ALPHAS = [0.51, 0.6, 0.75, 1.25, 1.5, 1.5 + 1e-9, 1.5 - 1e-9, 1.5 + 1e-6,
+                 1.5 - 1e-6, 1.5 + 5e-4, 1.5 - 5e-4, 1.5 + 2e-3, 1.5 - 2e-3,
+                 2.5 - 6e-4, 3.5, 4.0, 5.0, 10.25, 40.5, 100.0]
+ORACLE_THETAS = np.concatenate([[0.0, 1e-12, 1e-6, 0.25, 0.5, 1.0 - 1e-9, 1.0],
+                                np.random.default_rng(7).uniform(0.0, 1.0, 3)])
+
+
+def _korobov_series_mpmath(s, theta):
+    t = mpmath.mpf(float(theta))
+    t = min(t, 1 - t)   # fold first: 1 - t is exact, 2 pi t near 2 pi is not
+    if t == 0:
+        return mpmath.zeta(s)
+    return mpmath.polylog(s, mpmath.expjpi(2 * t)).real
+
+
+def test_korobov_series_matches_mpmath_oracle():
+    worst = 0.0
+    for alpha in ORACLE_ALPHAS:
+        got = _korobov_series(ORACLE_THETAS, alpha)
+        with mpmath.workdps(40):
+            s = 2 * mpmath.mpf(alpha)
+            ref = np.array([float(_korobov_series_mpmath(s, t)) for t in ORACLE_THETAS])
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-11
+
+
 def test_sobolev_distance_reduces_to_min_at_zero_anchor():
     spec = KernelSpec("sobolev-distance", a=0.0)
     for x, y in [(0.1, 0.9), (0.5, 0.5), (0.0, 1.0)]:
@@ -68,6 +127,8 @@ def test_out_of_domain_rejected():
         kernel_eval(MIN, -0.1, 0.5)
     with pytest.raises(DomainError):
         kernel_eval(MIN, 0.5, 1.5)
+    with pytest.raises(DomainError):
+        gram_matrix(MIN, [0.5, math.nan])
 
 
 @settings(max_examples=40, deadline=None)
