@@ -19,7 +19,7 @@ from .eigensolve import (FamilySpectrum, family_eigenpair, family_eigenvalues,
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import (QuadratureGrid, RefinedSpectrum, midpoint_grid,
-                      nystrom_spectrum, richardson_refine)
+                      nystrom_solver, nystrom_spectrum, richardson_refine)
 from .reduction import (DiscreteProblem, Functional, build_Ig, e0_functional,
                         subcube_indicator_functional, piecewise_constant_instance,
                         cube_mean_functional, fixed_info_radius,

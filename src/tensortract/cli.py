@@ -4,8 +4,8 @@ Subcommands: eigs, oracle-eigs, complexity, classify, density, verify-reduction,
 reproduce.  Numbers are serialized with 17 significant digits so emitted
 tables round-trip exactly; identical configurations produce byte-identical
 output files.  Exit codes: 0 success, 1 numeric failure (an internal
-consistency check fired), 2 invalid arguments, 3 resource guard,
-4 acceptance/verification failure.
+consistency check fired), 2 invalid arguments, 3 resource guard or
+out of memory, 4 acceptance/verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .eigensolve import (family_eigenpair, family_eigenvalues, family_spectrum,
                          sobolev_min_eigenpair)
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
-from .nystrom import midpoint_grid, nystrom_spectrum, richardson_refine
+from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
 from .reduction import (load_problem, random_problem, top_eigenpair,
                         verify_domination, verify_e0_characterization)
 from .spectra import FAMILIES, KernelSpec
@@ -143,11 +143,16 @@ def cmd_oracle_eigs(args) -> int:
         errs = refined.error_estimates
         header = ["j", "lambda", "error_estimate"]
         rows = [[j + 1, float(v), float(e)] for j, (v, e) in enumerate(zip(values, errs))]
+        # the refinement solves the two finest grids, possibly by different solvers
+        solver = "+".join(sorted({nystrom_solver(spec, midpoint_grid(m), args.count)
+                                  for m in sizes[-2:]}))
     else:
-        seq = nystrom_spectrum(spec, midpoint_grid(args.grid_size), args.count)
+        grid = midpoint_grid(args.grid_size)
+        seq = nystrom_spectrum(spec, grid, args.count)
+        solver = nystrom_solver(spec, grid, args.count)
         header = ["j", "lambda"]
         rows = [[j + 1, float(v)] for j, v in enumerate(seq.values)]
-    payload = {"family": spec.label(), "grid_size": args.grid_size,
+    payload = {"family": spec.label(), "grid_size": args.grid_size, "solver": solver,
                "refine": args.refine or None,
                "eigenvalues": [dict(zip(header, row)) for row in rows]}
     _emit(args, header, rows, payload)
@@ -415,6 +420,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ResourceLimitError, TruncationError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource limit: out of memory ({exc})", file=sys.stderr)
         return EXIT_RESOURCE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ _POWER_STEP_TOL = 1e-13
 _POWER_MAX_ITERS = 50_000
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Finite-dimensional RKHS problem (gram_F, operator_S, gram_G)."""
 
@@ -41,9 +41,10 @@ class DiscreteProblem:
     points: tuple = ()
 
     def __post_init__(self):
-        self.gram_F = np.asarray(self.gram_F, dtype=float)
-        self.operator_S = np.atleast_2d(np.asarray(self.operator_S, dtype=float))
-        self.gram_G = np.asarray(self.gram_G, dtype=float)
+        object.__setattr__(self, "gram_F", np.asarray(self.gram_F, dtype=float))
+        object.__setattr__(self, "operator_S",
+                           np.atleast_2d(np.asarray(self.operator_S, dtype=float)))
+        object.__setattr__(self, "gram_G", np.asarray(self.gram_G, dtype=float))
         m = self.gram_F.shape[0]
         k = self.gram_G.shape[0]
         if self.gram_F.shape != (m, m) or self.gram_G.shape != (k, k):
@@ -57,7 +58,7 @@ class DiscreteProblem:
             if ev[0] <= _SPD_RTOL * ev[-1]:
                 raise ParameterError(f"{name} must be positive definite")
         if not self.points:
-            self.points = tuple(range(m))
+            object.__setattr__(self, "points", tuple(range(m)))
         if len(self.points) != m or len(set(self.points)) != m:
             raise ParameterError("need m distinct domain points")
 

@@ -187,18 +187,33 @@ def _korobov_series(theta, alpha: float):
     return (-1.0) ** n / math.factorial(2 * n) * term + polyval(mu * mu, coeffs)
 
 
-def _kernel(spec: KernelSpec, x, y):
-    """K_1(x, y), broadcast over array arguments."""
+def min_max_factors(spec: KernelSpec):
+    """Generators (u, v) with K_1(x, y) = u(min(x, y)) v(max(x, y)), or None
+    for korobov, whose kernel depends on |x - y| instead.
+
+    u / v is strictly increasing for every family here, so a Gram matrix on
+    distinct points where u > 0 is an oscillation matrix with simple
+    eigenvalues (Gantmacher-Krein).  Such a Gram matrix is also
+    semiseparable: it multiplies a vector in O(m) through two prefix sums.
+    """
     if spec.family == "sobolev-min":
-        return 1.0 + np.minimum(x, y)
+        return (lambda t: 1.0 + t), (lambda t: 1.0)
     if spec.family == "brownian-min":
-        return np.minimum(x, y)
+        return (lambda t: t), (lambda t: 1.0)
+    if spec.family == "sobolev-cosh":
+        return np.cosh, (lambda t: np.cosh(1.0 - t) / math.sinh(1.0))
     if spec.family == "sobolev-distance":
         a = spec.a
-        return 1.0 + 0.5 * (np.abs(x - a) + np.abs(y - a) - np.abs(x - y))
-    if spec.family == "sobolev-cosh":
-        return np.cosh(1.0 - np.maximum(x, y)) * np.cosh(np.minimum(x, y)) / math.sinh(1.0)
-    # korobov
+        return (lambda t: 1.0 + np.maximum(t - a, 0.0)), (lambda t: 1.0 + np.maximum(a - t, 0.0))
+    return None
+
+
+def _kernel(spec: KernelSpec, x, y):
+    """K_1(x, y), broadcast over array arguments."""
+    factors = min_max_factors(spec)
+    if factors is not None:
+        u, v = factors
+        return u(np.minimum(x, y)) * v(np.maximum(x, y))
     return 1.0 + 2.0 * spec.beta * _korobov_series(np.abs(x - y), spec.alpha)
 
 

@@ -67,6 +67,18 @@ def test_oracle_eigs_refine(tmp_path):
     assert float(rows[0][2]) > 0.0
 
 
+@pytest.mark.parametrize("args, solver", [
+    (["--family", "sobolev-cosh", "--grid-size", "200"], "lanczos"),
+    (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"],
+     "circulant-fft"),
+    (["--family", "brownian-min", "--grid-size", "20"], "dense"),
+    (["--family", "sobolev-min", "--count", "3", "--refine", "10,20"], "dense+lanczos"),
+])
+def test_oracle_eigs_reports_its_solver(capsys, args, solver):
+    assert run(["oracle-eigs", "--format", "json"] + args) == 0
+    assert json.loads(capsys.readouterr().out)["solver"] == solver
+
+
 def test_complexity_command(tmp_path):
     out = tmp_path / "cx.json"
     assert run(["complexity", "--family", "korobov", "--alpha", "1",
@@ -184,6 +196,12 @@ def test_resource_guard_exit_code():
                 "--beta", "1.0", "--d", "2", "--eps", "0.000001"]) == 3
 
 
+def test_memory_exhaustion_exit_code(capsys):
+    # 10^15 nodes need 8 PB, past any address space: the allocation fails at once
+    assert run(["oracle-eigs", "--grid-size", str(10 ** 15)]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: out of memory")
+
+
 def test_reproduce_subset(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["reproduce", "--only", "1,3,4", "--out", str(out)]) == 0
@@ -265,10 +283,11 @@ def test_verify_reduction_byte_identical_for_same_seed(tmp_path):
 
 
 def test_cli_import_loads_neither_mpmath_nor_scipy_special():
-    # scipy.special is imported where the Korobov series needs it, and mpmath
-    # is only a test oracle
+    # scipy.special is imported where the Korobov series needs it,
+    # scipy.sparse where the Lanczos eigensolve does, and mpmath is only a
+    # test oracle
     code = ("import sys, tensortract.cli; "
-            "print(sorted({'mpmath', 'scipy.special'} & set(sys.modules)))")
+            "print(sorted({'mpmath', 'scipy.special', 'scipy.sparse'} & set(sys.modules)))")
     src = os.path.dirname(os.path.dirname(tensortract.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

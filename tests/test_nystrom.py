@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tensortract import (KernelSpec, ParameterError, QuadratureGrid,
-                         family_eigenvalues, midpoint_grid, nystrom_spectrum,
-                         richardson_refine)
-from tensortract.nystrom import weighted_kernel_matrix
+from tensortract import (DomainError, KernelSpec, NumericError, ParameterError,
+                         QuadratureGrid, family_eigenvalues, midpoint_grid,
+                         nystrom_spectrum, richardson_refine)
+from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
@@ -25,6 +26,10 @@ def test_grid_validation():
         QuadratureGrid(np.array([0.25, 0.75]), np.array([0.5, -0.5]))  # negative weight
     with pytest.raises(ParameterError):
         QuadratureGrid(np.array([0.25, 0.75]), np.array([0.5, 0.6]))   # sum != 1
+    with pytest.raises(DomainError):
+        QuadratureGrid(np.array([0.5, 1.5]), np.array([0.5, 0.5]))    # outside [0, 1]
+    with pytest.raises(DomainError):
+        QuadratureGrid(np.array([0.25, np.nan]), np.array([0.5, 0.5]))
 
 
 def test_count_exceeds_grid():
@@ -46,8 +51,10 @@ def test_oracle_matches_analytic_rules(spec, count):
 
 
 def test_korobov_oracle_at_512():
-    numeric = nystrom_spectrum(KOR, midpoint_grid(512), 3).values
-    np.testing.assert_allclose(numeric, [1.0, 0.5, 0.5], rtol=1e-3)
+    numeric = nystrom_spectrum(KOR, midpoint_grid(512), 5).values
+    np.testing.assert_allclose(numeric, [1.0, 0.5, 0.5, 0.125, 0.125], rtol=1e-3)
+    # the circulant Gram's eigenvalues k and m - k come out as exact ties
+    assert numeric[1] == numeric[2] and numeric[3] == numeric[4]
 
 
 def test_monotone_convergence_in_grid_size():
@@ -100,3 +107,80 @@ def test_oracle_distance_kernel_anchor_zero_equals_min_kernel():
     a = nystrom_spectrum(KernelSpec("sobolev-distance", a=0.0), midpoint_grid(300), 3).values
     b = nystrom_spectrum(MIN, midpoint_grid(300), 3).values
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# structured solvers against the dense oracle
+# ---------------------------------------------------------------------------
+
+ALL_FAMILIES = [MIN, COSH, KernelSpec("korobov", alpha=0.75, beta=0.5),
+                KernelSpec("sobolev-distance", a=0.3), KernelSpec("sobolev-distance", a=0.5),
+                KernelSpec("brownian-min")]
+
+
+def _grid(kind, m):
+    if kind == "midpoint":
+        return midpoint_grid(m)
+    if kind == "endpoints":   # uniform nodes with 0 and 1, trapezoid weights
+        w = np.full(m, 1.0 / (m - 1))
+        w[[0, -1]] = 0.5 / (m - 1)
+        return QuadratureGrid(np.linspace(0.0, 1.0, m), w)
+    rng = np.random.default_rng(m)
+    w = rng.uniform(0.1, 1.0, m)
+    return QuadratureGrid(np.sort(rng.uniform(0.0, 1.0, m)), w / w.sum())
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "endpoints", "random"])
+@pytest.mark.parametrize("m", [2, 3, 7, 64, 500])
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
+def test_every_solver_matches_dense_eigvalsh(spec, m, kind):
+    grid = _grid(kind, m)
+    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+    for count in sorted({1, 5, m // 5, m - 2, m - 1, m} & set(range(1, m + 1))):
+        got = nystrom_spectrum(spec, grid, count).values
+        err = np.max(np.abs(got - np.maximum(dense[:count], 0.0)))
+        assert err <= 1e-12 * dense[0], (count, nystrom_solver(spec, grid, count), err)
+
+
+def test_solver_choice():
+    grid = midpoint_grid(100)
+    assert nystrom_solver(KOR, grid, 100) == "circulant-fft"
+    assert nystrom_solver(KOR, _grid("random", 100), 5) == "dense"
+    w = np.linspace(1.0, 2.0, 100)
+    assert nystrom_solver(KOR, QuadratureGrid(grid.nodes, w / w.sum()), 5) == "dense"
+    for spec in ALL_FAMILIES:
+        if spec.family != "korobov":
+            assert nystrom_solver(spec, grid, 20) == "lanczos"
+            assert nystrom_solver(spec, grid, 21) == "dense"
+            assert nystrom_solver(spec, _grid("random", 100), 5) == "lanczos"
+
+
+@pytest.mark.parametrize("spec, m", [(COSH, 2000), (KOR, 2000), (MIN, 20)])
+def test_repeated_solves_are_bitwise_equal(spec, m):
+    grid = midpoint_grid(m)   # lanczos, circulant-fft, dense
+    a = nystrom_spectrum(spec, grid, 5).values
+    b = nystrom_spectrum(spec, grid, 5).values
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", [MIN, COSH, KernelSpec("brownian-min"), KOR],
+                         ids=lambda s: s.label())
+def test_large_grid_matches_analytic_rules(spec):
+    m = 10 ** 5
+    if spec.family == "brownian-min":
+        analytic = 1.0 / (np.pi * (np.arange(1, 6) - 0.5)) ** 2
+    else:
+        analytic = family_eigenvalues(spec, 5).values
+    numeric = nystrom_spectrum(spec, midpoint_grid(m), 5).values
+    np.testing.assert_allclose(numeric, analytic, rtol=1e-3 * (2000 / m) ** 2)
+
+
+def test_lanczos_failure_is_a_numeric_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericError):
+        nystrom_spectrum(MIN, midpoint_grid(100), 5)

@@ -283,6 +283,15 @@ def test_problem_validation():
                         operator_S=[[1.0, 0.0]], gram_G=[[1.0]])
 
 
+def test_problem_is_immutable():
+    import dataclasses
+    p = random_problem(seed=1, m=3, k=2)
+    for name in ("gram_F", "operator_S", "gram_G", "points"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
+    assert p.points == (0, 1, 2)
+
+
 def test_piecewise_model_d1_norm_is_the_two_point_average():
     # ||f||^2 = (f(0)^2 + f(1)^2)/2 for piecewise constants on two cells:
     # with kernel Gram 2 I, coefficients c have values v = 2 c and
