@@ -3,7 +3,8 @@
 Subcommands: eigs, oracle-eigs, complexity, classify, density, verify-reduction,
 reproduce.  Numbers are serialized with 17 significant digits so emitted
 tables round-trip exactly; identical configurations produce byte-identical
-output files.  Exit codes: 0 success, 1 numeric failure (an internal
+output files, except for the wall times in the ``seconds`` column of the
+``reproduce`` report.  Exit codes: 0 success, 1 numeric failure (an internal
 consistency check fired), 2 invalid arguments, 3 resource guard or
 out of memory, 4 acceptance/verification failure.
 """
@@ -36,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_FAILURE = 4
 
-_DENSITY_QUAD_NODES = 1025
+_DENSITY_QUAD_NODES = 1025   # odd: composite Simpson pairs the 1024 panels
 
 
 def _fmt(v) -> str:
@@ -100,12 +101,9 @@ def density_profile(samples: int):
     scale = 1.0 / math.sqrt(pair.value)
     xs = np.linspace(0.0, 1.0, samples)
     ys = scale * pair.func(xs)
-    # imported here, not at the top: scipy.integrate is about 40 % of the
-    # start-up import, and only density and reproduce need it
-    import scipy.integrate
-
-    qx = np.linspace(0.0, 1.0, _DENSITY_QUAD_NODES)
-    integral = float(scipy.integrate.simpson((scale * pair.func(qx)) ** 2, x=qx))
+    f = (scale * pair.func(np.linspace(0.0, 1.0, _DENSITY_QUAD_NODES))) ** 2
+    h = 1.0 / (_DENSITY_QUAD_NODES - 1)
+    integral = float(h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]))
     return xs, ys, integral
 
 
@@ -152,7 +150,9 @@ def cmd_oracle_eigs(args) -> int:
         solver = nystrom_solver(spec, grid, args.count)
         header = ["j", "lambda"]
         rows = [[j + 1, float(v)] for j, v in enumerate(seq.values)]
-    payload = {"family": spec.label(), "grid_size": args.grid_size, "solver": solver,
+    # --refine solves its own grids, never --grid-size
+    grid_size = None if args.refine else args.grid_size
+    payload = {"family": spec.label(), "grid_size": grid_size, "solver": solver,
                "refine": args.refine or None,
                "eigenvalues": [dict(zip(header, row)) for row in rows]}
     _emit(args, header, rows, payload)
@@ -275,12 +275,11 @@ def cmd_reproduce(args) -> int:
         if unknown:
             raise ParameterError(f"unknown criterion ids: {sorted(unknown)}")
     rows = acceptance.run_all(only=only, fail=args.fail)
-    header = ["criterion_id", "description", "expected", "computed", "tolerance", "pass"]
-    table = [[r.criterion_id, r.description, r.expected, r.computed, r.tolerance, r.passed]
-             for r in rows]
-    payload = [{"criterion_id": r.criterion_id, "description": r.description,
-                "expected": r.expected, "computed": r.computed,
-                "tolerance": r.tolerance, "pass": r.passed} for r in rows]
+    header = ["criterion_id", "description", "expected", "computed", "tolerance", "pass",
+              "seconds"]
+    table = [[r.criterion_id, r.description, r.expected, r.computed, r.tolerance, r.passed,
+              r.seconds] for r in rows]
+    payload = [dict(zip(header, row)) for row in table]
     if args.out:
         if (args.format or "json") == "json":
             _write_json(args.out, payload)

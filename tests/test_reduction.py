@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from tensortract import (DiscreteProblem, Functional, NumericError,
                          ParameterError, ResourceLimitError,
@@ -12,6 +13,7 @@ from tensortract import (DiscreteProblem, Functional, NumericError,
                          random_problem, random_problem_with_multiplicity,
                          save_problem, top_eigenpair, verify_domination,
                          verify_e0_characterization)
+from tensortract.reduction import _generalized_eigh
 
 
 def test_scalar_problem_top_eigenvalue():
@@ -315,3 +317,19 @@ def test_sampling_a_point_determines_its_kernel_section_functional():
         section = Functional(representer=e, g_coords=np.zeros(3))
         assert fixed_info_radius(p, section, (label,)) == pytest.approx(0.0, abs=1e-10)
         assert fixed_info_radius(p, section, ()) > 0.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_generalized_eigh_matches_scipy_property(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    A = X + X.T
+    Y = rng.standard_normal((n, n))
+    B = Y.T @ Y + n * np.eye(n)
+    lam, V = _generalized_eigh(A, B)
+    oracle = scipy.linalg.eigh(A, B, eigvals_only=True)
+    scale = np.max(np.abs(oracle))
+    for got in (lam, _generalized_eigh(A, B, vectors=False)):
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * scale
+    assert np.max(np.abs(V.T @ B @ V - np.eye(n))) <= 1e-12
