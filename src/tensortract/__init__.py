@@ -11,8 +11,7 @@ from .complexity import (ComplexityQuery, ComplexityResult, TractabilityReport,
                          classify, count_info_complexity_all, en_all,
                          estimate_decay, initial_error_ratio_integration,
                          qpt_exponent)
-from .eigensolve import (FamilySpectrum, family_eigenpair, family_eigenvalues,
-                         family_spectrum, korobov_eigenvalues,
+from .eigensolve import (family_eigenpair, family_eigenvalues, korobov_eigenvalues,
                          sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
                          sobolev_min_eigenpair, sobolev_min_eigenvalues,
                          solve_cot_root)

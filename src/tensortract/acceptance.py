@@ -160,7 +160,7 @@ def c05_counting_equivalence(perturb=False):
             mismatches += 1
     return [
         _at_least("5", "randomized counting cases run", 100, cases, perturb),
-        _equal("5", "tie-split vs direct-enum mismatches", 0, mismatches, perturb),
+        _equal("5", "weight-classes vs direct-enum mismatches", 0, mismatches, perturb),
     ]
 
 

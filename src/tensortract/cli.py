@@ -21,8 +21,7 @@ import numpy as np
 
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
-from .eigensolve import (family_eigenpair, family_eigenvalues, family_spectrum,
-                         sobolev_min_eigenpair)
+from .eigensolve import family_eigenpair, family_eigenvalues, sobolev_min_eigenpair
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -135,7 +134,11 @@ def cmd_eigs(args) -> int:
 def cmd_oracle_eigs(args) -> int:
     spec = _family_spec(args)
     if args.refine:
-        sizes = [int(s) for s in args.refine.split(",")]
+        try:
+            sizes = [int(s) for s in args.refine.split(",")]
+        except ValueError:
+            raise ParameterError(f"--refine needs comma-separated integers, "
+                                 f"got {args.refine!r}") from None
         refined = richardson_refine(spec, args.count, sizes)
         values = refined.eigensequence.values
         errs = refined.error_estimates
@@ -184,13 +187,12 @@ def cmd_complexity(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = _family_spec(args)
-    spectrum = family_spectrum(spec, 8, pairs=1)
-    lam = spectrum.eigensequence.values
-    decay = spectrum.eigensequence.exact_decay
+    seq = family_eigenvalues(spec, 8)
+    lam = seq.values
     goodcase = None
     if spec.family == "sobolev-min":
-        goodcase = check_goodcase_sobolev_min(spectrum.eigenpairs[0])
-    report = classify(float(lam[0]), float(lam[1]), decay, goodcase)
+        goodcase = check_goodcase_sobolev_min(sobolev_min_eigenpair(1))
+    report = classify(float(lam[0]), float(lam[1]), seq.exact_decay, goodcase)
     payload = {
         "family": spec.label(),
         "lambda1": report.lambda1,
@@ -228,6 +230,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
+    if args.max_n < 0 or args.m_max < 2 or args.k_max < 1:
+        raise ParameterError("need --max-n >= 0, --m-max >= 2 and --k-max >= 1")
     rng = np.random.default_rng(args.seed)
     reports = []
     failures = 0

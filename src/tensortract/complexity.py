@@ -3,9 +3,9 @@
 For the class of arbitrary linear functionals, n(eps, S_d) equals the number
 of product eigenvalues lambda_{j_1} ... lambda_{j_d} exceeding
 eps^2 lambda_1^d.  Counting runs in log space over weights
-w_j = ln(lambda_1 / lambda_j) and is split over the tied top eigenvalue
-("tie-split", see _multiset_count), so counts stay exact (Python integers)
-and free of underflow for every d.
+w_j = ln(lambda_1 / lambda_j) and enumerates multisets over classes of equal
+weights ("weight-classes", see _multiset_count), so counts stay exact (Python
+integers) and free of underflow for every d.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ _TIE = REL_TIE
 _BRUTE_MAX_TUPLES = 10 ** 8
 _BRUTE_CHUNK = 2 * 10 ** 7
 _HEAP_MAX_POPS = 10 ** 6
+_MULTISET_GUARD = 2 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -102,40 +104,42 @@ def _participating_weights(eigs: EigenSequence, budget: float) -> np.ndarray:
 
 
 def _multiset_count(w: np.ndarray, d: int, budget: float) -> int:
-    """Number of ordered d-tuples with total weight strictly below budget.
+    """Number of ordered d-tuples with total weight strictly below budget,
+    clamped at COUNT_SATURATION + 1.
 
-    The r indices of weight exactly zero (a top eigenvalue of multiplicity r)
-    fill any of the d positions at no cost.  With c_k the number of ordered
-    k-tuples over the positive weights v that stay below the budget,
-
-        n = sum_k C(d, k) r^(d-k) c_k,    k <= min(d, ceil(budget / v[0])).
-
-    c_k adds the multinomial k! / prod t! of every nondecreasing index
-    multiset, enumerated with an explicit stack.  A branch is cut when its
-    cheapest index times the slots left reaches the residual budget; the
-    residual drops index by index, so the float comparisons are the same for
-    every d.
+    Equal weights form a class (v_j, mu_j); a tied top eigenvalue is the class
+    of weight 0.  Every multiset of t_j indices from class j adds its
+    d! / prod t_j! orderings times prod mu_j^(t_j) choices of members.  The
+    multisets are enumerated with an explicit stack, taking t indices from one
+    class at a time, t = slots down to 1, until filling the slots left from
+    the next class would already reach the residual budget.
     """
-    r = int(np.count_nonzero(w == 0.0))
-    v = w[r:].tolist()
-    k_max = min(d, math.ceil(budget / v[0])) if v else 0
+    # w is ascending, so the classes are too; the infinite sentinel ends every scan
+    classes = list(Counter(w.tolist()).items()) + [(math.inf, 0)]
+    cap = COUNT_SATURATION + 1
     comb = math.comb
     total = 0
-    for k in range(k_max + 1):
-        c_k = 0
-        stack = [(0, k, budget, 1)]  # next index, slots left, residual, multiplicity
-        while stack:
-            start, slots, residual, mult = stack.pop()
-            if slots == 0:
-                c_k += mult
-                continue
-            for j in range(start, len(v)):
-                if v[j] * slots >= residual:
+    pops = 0
+    stack = [(0, d, budget, 1)]  # next class, slots left, residual, tuples
+    while stack:
+        pops += 1
+        if pops > _MULTISET_GUARD:
+            raise ResourceLimitError("multiset enumeration guard exceeded; near-tied "
+                                     "eigenvalues make this count too costly")
+        start, slots, residual, tuples = stack.pop()
+        if slots == 0:
+            total = min(total + tuples, cap)
+            continue
+        for j in range(start, len(classes)):
+            v, mu = classes[j]
+            if v * slots >= residual:
+                break
+            for t in range(slots, 0, -1):
+                rest = residual - t * v
+                if t < slots and classes[j + 1][0] * (slots - t) >= rest:
                     break
-                for t in range(1, slots + 1):
-                    stack.append((j + 1, slots - t, residual - t * v[j],
-                                  mult * comb(slots, t)))
-        total += comb(d, k) * r ** (d - k) * c_k
+                stack.append((j + 1, slots - t, rest,
+                              min(tuples * comb(slots, t) * mu ** min(t, 64), cap)))
     return total
 
 
@@ -153,7 +157,7 @@ def count_info_complexity_all(eigs: EigenSequence, query: ComplexityQuery) -> Co
         count=COUNT_SATURATION if saturated else count,
         truncation_index=len(w),
         tie_tolerance=_TIE,
-        method="tie-split",
+        method="weight-classes",
         saturated=saturated,
         lower_bound_only=(query.info_class == "std"),
     )

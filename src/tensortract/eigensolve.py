@@ -10,12 +10,11 @@ each twice}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .spectra import REL_TIE, Eigenpair, EigenSequence, KernelSpec
+from .spectra import Eigenpair, EigenSequence, KernelSpec
 
 # Bisection width before the final Newton polish.
 _BISECT_ATOL = 1e-13
@@ -144,17 +143,6 @@ def _korobov_eigenpair(alpha: float, beta: float, j: int) -> Eigenpair:
                      func=func, dfunc=dfunc)
 
 
-@dataclass
-class FamilySpectrum:
-    """Analytic spectrum of one family: sequence, leading eigenpairs, and the
-    multiplicity of the top eigenvalue (ties decided within REL_TIE)."""
-
-    family: KernelSpec
-    eigensequence: EigenSequence
-    eigenpairs: list
-    multiplicity_of_top: int
-
-
 def family_eigenvalues(spec: KernelSpec, count: int) -> EigenSequence:
     if spec.family == "sobolev-min":
         return sobolev_min_eigenvalues(count)
@@ -173,14 +161,3 @@ def family_eigenpair(spec: KernelSpec, j: int) -> Eigenpair:
     if spec.family == "korobov":
         return _korobov_eigenpair(spec.alpha, spec.beta, j)
     raise ParameterError(f"no analytic eigenpair rule for family {spec.family!r}")
-
-
-def family_spectrum(spec: KernelSpec, count: int, pairs: int = 1) -> FamilySpectrum:
-    seq = family_eigenvalues(spec, count)
-    eps = [family_eigenpair(spec, j) for j in range(1, min(pairs, count) + 1)]
-    top = seq.values[0]
-    mult = int(np.count_nonzero(seq.values >= top * (1.0 - REL_TIE)))
-    if mult == len(seq) and not seq.is_exhaustive:
-        raise ParameterError("top multiplicity not resolved by the requested count")
-    return FamilySpectrum(family=spec, eigensequence=seq, eigenpairs=eps,
-                          multiplicity_of_top=mult)

@@ -50,6 +50,9 @@ class DiscreteProblem:
             raise ParameterError("gram matrices must be square")
         if self.operator_S.shape != (k, m):
             raise ParameterError(f"operator must be {k}x{m}, got {self.operator_S.shape}")
+        for name in ("gram_F", "operator_S", "gram_G"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParameterError(f"{name} has a non-finite entry")
         for name, mat in (("gram_F", self.gram_F), ("gram_G", self.gram_G)):
             if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
                 raise ParameterError(f"{name} must be symmetric")
@@ -491,11 +494,16 @@ def load_problem(path) -> DiscreteProblem:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise ParameterError("problem file too short")
-    m, k = int(tokens[0]), int(tokens[1])
+    try:
+        m, k = int(tokens[0]), int(tokens[1])
+        vals = np.array([float(t) for t in tokens[2:]])
+    except ValueError as exc:
+        raise ParameterError(f"malformed problem file: {exc}") from None
+    if m < 1 or k < 1:
+        raise ParameterError(f"problem file sizes must be positive, got m={m}, k={k}")
     need = 2 + m * m + k * m + k * k
     if len(tokens) != need:
         raise ParameterError(f"problem file has {len(tokens)} tokens, expected {need}")
-    vals = np.array([float(t) for t in tokens[2:]])
     gram_F = vals[:m * m].reshape(m, m)
     S = vals[m * m:m * m + k * m].reshape(k, m)
     gram_G = vals[m * m + k * m:].reshape(k, k)

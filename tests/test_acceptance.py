@@ -32,7 +32,8 @@ def test_criterion_04_qpt_exponents():
 
 
 def test_criterion_05_counting_equivalence():
-    _run("5")
+    rows = _run("5")
+    assert rows[1].description == "weight-classes vs direct-enum mismatches"
 
 
 def test_criterion_06_curse_lower_bound():

@@ -96,7 +96,7 @@ def test_complexity_command(tmp_path):
                 "--out", str(out), "--format", "json"]) == 0
     data = json.loads(out.read_text())
     assert data["count"] == 3
-    assert data["method"] == "tie-split"
+    assert data["method"] == "weight-classes"
     assert not data["saturated"]
 
 
@@ -205,11 +205,21 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["count"] == 1
 
 
-def test_invalid_arguments_exit_code():
+def test_invalid_arguments_exit_code(tmp_path):
     assert run(["eigs", "--family", "korobov", "--alpha", "0.3",
                 "--beta", "0.5", "--count", "2"]) == 2
     assert run(["oracle-eigs", "--family", "korobov", "--alpha", "inf",
                 "--beta", "0.5"]) == 2
+    for refine in ("100,,200", "100,2x00"):
+        assert run(["oracle-eigs", "--count", "2", "--refine", refine]) == 2
+    for flag, value in (("--max-n", "-1"), ("--m-max", "1"), ("--k-max", "0")):
+        assert run(["verify-reduction", "--problems", "1", flag, value]) == 2
+    path = tmp_path / "problem.txt"
+    # a non-numeric token, a non-integer m, a NaN in the operator
+    for text in ("2 1\n1 0 0 x\n0.5 0.5\n1\n", "2.5 1\n1 0 0 1\n0.5 0.5\n1\n",
+                 "2 1\n1 0 0 1\nnan 0.5\n1\n"):
+        path.write_text(text)
+        assert run(["verify-reduction", "--problem", str(path)]) == 2
 
 
 def test_resource_guard_exit_code():

@@ -13,6 +13,7 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          korobov_eigenvalues, qpt_exponent,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
                          sobolev_min_eigenvalues)
+from tensortract import complexity
 from tensortract.complexity import _effective_budget, _participating_weights
 
 KOR = korobov_eigenvalues(1.0, 0.5, 40)
@@ -42,7 +43,7 @@ def test_top_tie_gives_exponential_count():
             assert count(KOR_TIE, eps, d) >= 2 ** d
 
 
-def test_dfs_matches_brute_force_on_selected_cases():
+def test_weight_classes_match_brute_force_on_selected_cases():
     cases = [(SOB, 0.25, 2), (SOB, 0.1, 3), (KOR, 0.35, 3), (KOR_TIE, 0.45, 4),
              (sobolev_cosh_eigenvalues(40), 0.2, 2)]
     for eigs, eps, d in cases:
@@ -50,7 +51,7 @@ def test_dfs_matches_brute_force_on_selected_cases():
         fast = count_info_complexity_all(eigs, q)
         slow = brute_force_count(eigs, q)
         assert fast.count == slow.count
-        assert fast.method == "tie-split"
+        assert fast.method == "weight-classes"
         assert slow.method == "direct-enum"
 
 
@@ -70,23 +71,37 @@ def test_randomized_equivalence_quick():
         assert count_info_complexity_all(eigs, q).count == brute_force_count(eigs, q).count
 
 
-def dfs_count(w, d, budget):
-    """The recursive multiset DFS that counted before the split over the
-    tied top eigenvalue; an oracle for d <= 40, where its depth (one level
-    per index) stays far below the default recursion limit."""
-    def rec(slots, start, residual):
-        if slots == 0:
-            return 1
-        if start >= len(w) or w[start] * slots >= residual:
-            return 0
-        total = 0
-        for t in range(slots + 1):
-            cost = t * w[start]
-            if cost >= residual:
-                break
-            total += math.comb(slots, t) * rec(slots - t, start + 1, residual - cost)
-        return total
-    return rec(d, 0, budget)
+def tie_split_count(w, d, budget):
+    """The counting kernel before weight classes: split over the r indices of
+    weight zero, n = sum_k C(d, k) r^(d-k) c_k, with c_k the ordered k-tuples
+    over the positive weights, enumerated index by index.  Unclamped; an
+    oracle for d <= 40."""
+    r = int(np.count_nonzero(w == 0.0))
+    v = w[r:].tolist()
+    k_max = min(d, math.ceil(budget / v[0])) if v else 0
+    comb = math.comb
+    total = 0
+    for k in range(k_max + 1):
+        c_k = 0
+        stack = [(0, k, budget, 1)]  # next index, slots left, residual, multiplicity
+        while stack:
+            start, slots, residual, mult = stack.pop()
+            if slots == 0:
+                c_k += mult
+                continue
+            for j in range(start, len(v)):
+                if v[j] * slots >= residual:
+                    break
+                for t in range(1, slots + 1):
+                    stack.append((j + 1, slots - t, residual - t * v[j],
+                                  mult * comb(slots, t)))
+        total += comb(d, k) * r ** (d - k) * c_k
+    return total
+
+
+def tie_split_oracle(eigs, eps, d):
+    budget = _effective_budget(eps)
+    return tie_split_count(_participating_weights(eigs, budget), d, budget)
 
 
 def tied_spectra(max_rest):
@@ -117,12 +132,24 @@ def test_count_matches_brute_force_property(eigs, eps, d):
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(tied_spectra(0.6), KOROBOV_SPECTRA), st.floats(0.1, 0.9),
        st.integers(1, 40))
-def test_count_matches_recursive_dfs_property(eigs, eps, d):
-    budget = _effective_budget(eps)
-    expected = dfs_count(_participating_weights(eigs, budget), d, budget)
+def test_count_matches_tie_split_property(eigs, eps, d):
+    expected = tie_split_oracle(eigs, eps, d)
     res = count_info_complexity_all(eigs, ComplexityQuery(eps=eps, d=d))
     assert res.saturated == (expected > 2 ** 63 - 1)
     assert res.count == min(expected, 2 ** 63 - 1)
+
+
+def test_korobov_pairs_match_tie_split():
+    eigs = korobov_eigenvalues(0.75, 0.9, 2 ** 14)
+    assert count(eigs, 0.01, 6) == tie_split_oracle(eigs, 0.01, 6)
+
+
+def test_near_ties_hit_the_multiset_guard(monkeypatch):
+    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5]), is_exhaustive=True)
+    assert count(eigs, 0.1, 10) == tie_split_oracle(eigs, 0.1, 10)
+    monkeypatch.setattr(complexity, "_MULTISET_GUARD", 100)
+    with pytest.raises(ResourceLimitError):
+        count(eigs, 0.1, 10)
 
 
 def test_count_leaves_recursion_limit_alone(monkeypatch):
@@ -140,9 +167,11 @@ def test_triple_top_tie_counts_three_to_the_d():
     eigs = EigenSequence(np.array([1.0, 1.0, 1.0, 1e-300]), is_exhaustive=True)
     for d in (1, 2, 7, 39):
         assert count(eigs, 0.5, d) == 3 ** d
-    res = count_info_complexity_all(eigs, ComplexityQuery(eps=0.5, d=10 ** 4))
-    assert res.saturated
-    assert res.count == 2 ** 63 - 1
+    # 3^39 < 2^63 - 1 < 3^40; a d of 10^9 saturates without building 3^d
+    for d in (40, 10 ** 4, 10 ** 9):
+        res = count_info_complexity_all(eigs, ComplexityQuery(eps=0.5, d=d))
+        assert res.saturated
+        assert res.count == 2 ** 63 - 1
 
 
 def test_near_tie_is_not_a_tie():

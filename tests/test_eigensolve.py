@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tensortract import (KernelSpec, ParameterError, family_spectrum,
-                         kernel_eval, korobov_eigenvalues,
+from tensortract import (KernelSpec, ParameterError, kernel_eval, korobov_eigenvalues,
                          sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
                          sobolev_min_eigenpair, solve_cot_root)
 
@@ -132,16 +131,6 @@ def test_korobov_spectrum_layout():
 def test_korobov_beta_one_top_tie():
     seq = korobov_eigenvalues(1.0, 1.0, 4)
     assert seq.values[0] == seq.values[1] == seq.values[2] == 1.0
-
-
-def test_top_multiplicities():
-    kor_lo = family_spectrum(KernelSpec("korobov", alpha=1.0, beta=0.5), 8)
-    assert kor_lo.multiplicity_of_top == 1
-    kor_tie = family_spectrum(KernelSpec("korobov", alpha=1.0, beta=1.0), 8)
-    assert kor_tie.multiplicity_of_top >= 3
-    sob = family_spectrum(KernelSpec("sobolev-min"), 8)
-    assert sob.multiplicity_of_top == 1
-    assert sob.eigensequence.values[0] == sob.eigenpairs[0].value
 
 
 def test_invalid_korobov_parameters():

@@ -268,8 +268,13 @@ def test_problem_file_round_trip(tmp_path):
 
 def test_problem_file_validation(tmp_path):
     path = tmp_path / "broken.txt"
-    path.write_text("2 1\n1.0 0.0\n")
-    with pytest.raises(ParameterError):
+    for text in ("2 1\n1.0 0.0\n", "2 1\n1 0 0 x\n0.5 0.5\n1\n",
+                 "2.5 1\n1 0 0 1\n0.5 0.5\n1\n", "0 1\n1\n"):
+        path.write_text(text)
+        with pytest.raises(ParameterError):
+            load_problem(path)
+    path.write_text("2 1\n1 0 0 1\nnan 0.5\n1\n")
+    with pytest.raises(ParameterError, match="operator_S has a non-finite entry"):
         load_problem(path)
 
 
@@ -283,6 +288,9 @@ def test_problem_validation():
     with pytest.raises(ParameterError):
         DiscreteProblem(gram_F=[[1.0, 1.0], [1.0, 1.0]],
                         operator_S=[[1.0, 0.0]], gram_G=[[1.0]])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ParameterError, match="gram_G has a non-finite entry"):
+            DiscreteProblem(gram_F=np.eye(2), operator_S=[[1.0, 0.0]], gram_G=[[bad]])
 
 
 def test_problem_is_immutable():
