@@ -37,6 +37,7 @@ EXIT_RESOURCE = 3
 EXIT_FAILURE = 4
 
 _DENSITY_QUAD_NODES = 1025   # odd: composite Simpson pairs the 1024 panels
+_MAX_EIGENVALUES = 2 ** 21    # univariate eigenvalues one eigs or complexity call may build
 
 
 def _fmt(v) -> str:
@@ -56,9 +57,18 @@ def _write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json_text(obj) -> str:
+    """Strict JSON: a NaN or infinity is a numeric failure, never a bare token."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite number in the output: {exc}") from exc
+
+
 def _write_json(path, obj) -> None:
+    text = _json_text(obj)
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
 
 
 def _emit(args, header, rows, payload) -> None:
@@ -71,7 +81,7 @@ def _emit(args, header, rows, payload) -> None:
             _write_csv(args.out, header, rows)
     else:
         if fmt == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(_json_text(payload))
         else:
             print(",".join(header))
             for row in rows:
@@ -117,6 +127,8 @@ def density_svg(xs, ys) -> str:
 
 def cmd_eigs(args) -> int:
     spec = _family_spec(args)
+    if args.count > _MAX_EIGENVALUES:
+        raise ResourceLimitError(f"--count {args.count} exceeds 2^21 eigenpairs")
     seq = family_eigenvalues(spec, args.count)
     pairs = [family_eigenpair(spec, j) for j in range(1, args.count + 1)]
     keys = sorted(pairs[0].params)
@@ -171,7 +183,7 @@ def cmd_complexity(args) -> int:
             result = count_info_complexity_all(family_eigenvalues(spec, count), query)
             break
         except TruncationError as exc:
-            if exc.required > 2 ** 21:
+            if exc.required > _MAX_EIGENVALUES:
                 raise ResourceLimitError("eps requires more than 2^21 univariate "
                                          "eigenvalues") from exc
             count = exc.required
@@ -225,13 +237,15 @@ def cmd_density(args) -> int:
     summary = {"csv": str(csv_path), "svg": str(svg_path),
                "unit_mass_check": integral, "unit_mass_defect": abs(integral - 1.0),
                "samples": int(args.samples)}
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_json_text(summary))
     return EXIT_OK
 
 
 def cmd_verify_reduction(args) -> int:
     if args.max_n < 0 or args.m_max < 2 or args.k_max < 1:
         raise ParameterError("need --max-n >= 0, --m-max >= 2 and --k-max >= 1")
+    if args.problems < 1 or args.trials < 1 or args.samples < 1:
+        raise ParameterError("need --problems, --trials and --samples >= 1")
     rng = np.random.default_rng(args.seed)
     reports = []
     failures = 0
@@ -266,7 +280,7 @@ def cmd_verify_reduction(args) -> int:
     if args.out:
         _write_json(args.out, payload)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 

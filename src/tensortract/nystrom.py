@@ -10,9 +10,10 @@ extrapolation then sharpens.
 
 `nystrom_spectrum` picks its eigensolver from its input (see
 `nystrom_solver`): an FFT of one Gram row when the Gram is circulant, Lanczos
-on an O(m) matrix-vector product when the kernel is u(min) v(max), and dense
-`eigvalsh` otherwise.  The dense path is also the oracle the other two are
-tested against.
+with full reorthogonalization on an O(m) matrix-vector product when the
+kernel is u(min) v(max), and dense `eigvalsh` otherwise.  All three run on
+numpy alone.  The dense path is also the oracle the other two are tested
+against.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ from .errors import NumericError, ParameterError
 from .spectra import (EigenSequence, KernelSpec, _kernel, _unit_points, gram_matrix,
                       min_max_factors)
 
-# ARPACK keeps an m x (2 count + 1) Lanczos basis and reorthogonalizes
-# against it, so from about count = m/5 on it costs more time than dense
-# eigvalsh (m = 1000 on a 2-core Xeon: 107 ms at count 200, 98 ms dense).
+# Lanczos keeps a (2 count + 10) x m basis and orthogonalizes every step
+# against it twice, so at count = m/5 it costs about as much as dense eigvalsh
+# (2-core Xeon, Lanczos against dense: 17-19 against 19-20 ms at m = 500,
+# 133 against 86-93 ms at m = 1000, 584-635 against 568-600 ms at m = 2000).
 _LANCZOS_MAX_SHARE = 0.2
+_LANCZOS_STEP = 20        # basis rows added per extension
+_LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
 
 
 @dataclass(frozen=True)
@@ -106,30 +110,55 @@ def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
 
 
 def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
-    """The `count` largest eigenvalues of D K D, D = diag(sqrt(w)), by ARPACK's
-    implicitly restarted Lanczos on a matrix-free product.  With K_ij =
+    """The `count` largest eigenvalues of D K D, D = diag(sqrt(w)), by Lanczos
+    with full reorthogonalization on a matrix-free product.  With K_ij =
     u_min(i,j) v_max(i,j) and sorted nodes, (K z)_i = v_i sum_{j<=i} u_j z_j +
-    u_i sum_{j>i} v_j z_j."""
-    # 200-280 ms cold by -X importtime (scipy 1.17, 2-core Xeon): kept out of start-up
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    u_i sum_{j>i} v_j z_j.
 
+    A Ritz value theta_i of the k-step tridiagonal T = S diag(theta) S^T lies
+    within beta_k |S[-1, i]| of an eigenvalue (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 13); the iteration stops once that bound is below
+    eps theta_max for all `count` top values, or at k = m, where the Krylov
+    space is exhausted and the values are exact."""
     u, v = min_max_factors(spec)
     d = np.sqrt(grid.weights)
     du, dv = d * u(grid.nodes), d * v(grid.nodes)
 
     def matvec(z):
-        z = np.ravel(z)
         head = np.cumsum(du * z)
         tail = np.append(np.cumsum((dv * z)[:0:-1])[::-1], 0.0)
         return dv * head + du * tail
 
     m = len(grid)
-    op = LinearOperator((m, m), matvec=matvec, dtype=float)
-    try:
-        # a fixed start vector keeps the output reproducible; ARPACK's default is random
-        return eigsh(op, k=count, which="LA", v0=np.ones(m), return_eigenvectors=False)
-    except ArpackError as exc:
-        raise NumericError(f"Lanczos eigensolve failed: {exc}") from exc
+    eps = np.finfo(float).eps
+    # fixed, so the output is reproducible, and not reflection-symmetric: on the
+    # midpoint grid ones is orthogonal to every odd eigenvector at anchor a = 0.5
+    start = np.cos(np.arange(m)) + 0.5
+    basis = np.empty((min(m, 2 * count + 10), m))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.zeros(m), np.zeros(m)
+    k = 0   # Lanczos steps taken
+    while True:
+        w = matvec(basis[k])
+        scale = np.linalg.norm(w)
+        q = basis[:k + 1]
+        for _ in range(2):   # classical Gram-Schmidt twice
+            h = q @ w
+            w -= h @ q
+            alpha[k] += h[k]
+        beta[k] = np.linalg.norm(w)
+        k += 1
+        if k == len(basis):
+            off = beta[:k - 1]
+            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
+            if k == m or np.all(beta[k - 1] * np.abs(s[-1, -count:]) <= eps * theta[-1]):
+                return theta[-count:]
+            if k >= _LANCZOS_MAX_STEPS * count:
+                raise NumericError(f"Lanczos did not converge in {k} steps")
+            basis = np.concatenate([basis, np.empty((min(m, k + _LANCZOS_STEP) - k, m))])
+        if beta[k - 1] <= eps * scale:
+            raise NumericError(f"Lanczos broke down after {k} of {m} steps")
+        basis[k] = w / beta[k - 1]
 
 
 def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> EigenSequence:

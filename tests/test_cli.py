@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import tensortract
-from tensortract.cli import main
+from tensortract import NumericError
+from tensortract.cli import _write_json, main
 
 
 def run(args):
@@ -212,8 +213,11 @@ def test_invalid_arguments_exit_code(tmp_path):
                 "--beta", "0.5"]) == 2
     for refine in ("100,,200", "100,2x00"):
         assert run(["oracle-eigs", "--count", "2", "--refine", refine]) == 2
-    for flag, value in (("--max-n", "-1"), ("--m-max", "1"), ("--k-max", "0")):
+    for flag, value in (("--max-n", "-1"), ("--m-max", "1"), ("--k-max", "0"),
+                        ("--trials", "0"), ("--samples", "0")):
         assert run(["verify-reduction", "--problems", "1", flag, value]) == 2
+    for problems in ("0", "-1"):   # no instance checked is no pass
+        assert run(["verify-reduction", "--problems", problems]) == 2
     path = tmp_path / "problem.txt"
     # a non-numeric token, a non-integer m, a NaN in the operator
     for text in ("2 1\n1 0 0 x\n0.5 0.5\n1\n", "2.5 1\n1 0 0 1\n0.5 0.5\n1\n",
@@ -225,6 +229,17 @@ def test_invalid_arguments_exit_code(tmp_path):
 def test_resource_guard_exit_code():
     assert run(["complexity", "--family", "korobov", "--alpha", "0.51",
                 "--beta", "1.0", "--d", "2", "--eps", "0.000001"]) == 3
+    # refused before a single eigenpair is built (10^8 would take about 25 minutes)
+    for count in (2 ** 21 + 1, 10 ** 8):
+        assert run(["eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
+                    "--count", str(count)]) == 3
+
+
+def test_json_output_is_strict(tmp_path):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NumericError):
+            _write_json(tmp_path / "bad.json", {"x": bad})
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_memory_exhaustion_exit_code(capsys):
@@ -340,9 +355,8 @@ def _run_python(code, *args):
 
 
 def test_cli_import_loads_neither_mpmath_nor_scipy_special():
-    # scipy.special is imported where the Korobov series needs it,
-    # scipy.sparse where the Lanczos eigensolve does, numpy's LAPACK does the
-    # dense work, and mpmath is only a test oracle
+    # scipy.special is imported where the Korobov series needs it, numpy does
+    # the Lanczos and dense eigensolves, and mpmath is only a test oracle
     modules = {"mpmath", "scipy.special", "scipy.sparse", "scipy.linalg", "scipy.integrate"}
     code = f"import sys, tensortract.cli; print(sorted({modules!r} & set(sys.modules)))"
     assert _run_python(code).strip() == "[]"
@@ -367,6 +381,8 @@ run(["density", "--samples", "65", "--out", sys.argv[1]])
 run(["verify-reduction", "--problems", "3", "--trials", "2", "--samples", "5"])
 run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
      "--grid-size", "64"])
+run(["oracle-eigs", "--grid-size", "400"])
+run(["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "400"])
 small = scipy_modules()
 run(["reproduce"])
 print(json.dumps({"small": small, "reproduce": scipy_modules()}))
@@ -374,7 +390,7 @@ print(json.dumps({"small": small, "reproduce": scipy_modules()}))
 
 
 def test_cli_subcommands_run_without_scipy(tmp_path):
-    # only ARPACK Lanczos and the non-even Korobov series need scipy
+    # only the non-even Korobov series needs scipy
     loaded = json.loads(_run_python(_SCIPY_FREE_CALLS, str(tmp_path / "density")))
     assert loaded["small"] == []
-    assert "scipy.integrate" not in loaded["reproduce"]
+    assert loaded["reproduce"] == []

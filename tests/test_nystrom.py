@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from tensortract import (DomainError, KernelSpec, NumericError, ParameterError,
                          QuadratureGrid, family_eigenvalues, midpoint_grid,
                          nystrom_spectrum, richardson_refine)
+from tensortract import nystrom
 from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
 
 MIN = KernelSpec("sobolev-min")
@@ -175,12 +177,56 @@ def test_large_grid_matches_analytic_rules(spec):
     np.testing.assert_allclose(numeric, analytic, rtol=1e-3 * (2000 / m) ** 2)
 
 
-def test_lanczos_failure_is_a_numeric_error(monkeypatch):
-    import scipy.sparse.linalg
+def _ornstein_uhlenbeck(monkeypatch, c):
+    # exp(-c |x - y|) = u(min) v(max) with u = e^(c t), v = e^(-c t); at c = m ln 2
+    # the midpoint Gram is the Toeplitz 2^-|i-j| / m, whose top eigenvalues lie
+    # about 1e-2 apart relative to each other, so Lanczos needs many steps
+    monkeypatch.setattr(nystrom, "min_max_factors",
+                        lambda spec: (lambda t: np.exp(c * t), lambda t: np.exp(-c * t)))
 
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), None)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(NumericError):
+def test_lanczos_extends_its_basis_until_converged(monkeypatch):
+    m = 100
+    c = m * np.log(2.0)
+    _ornstein_uhlenbeck(monkeypatch, c)
+    x = midpoint_grid(m).nodes
+    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
+    for count in (5, 20):   # 2 count + 10 steps are not enough for either
+        got = nystrom_spectrum(MIN, midpoint_grid(m), count).values
+        assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+def test_lanczos_step_cap_is_a_numeric_error(monkeypatch):
+    _ornstein_uhlenbeck(monkeypatch, 100 * np.log(2.0))
+    monkeypatch.setattr(nystrom, "_LANCZOS_MAX_STEPS", 1)
+    with pytest.raises(NumericError, match="did not converge in 20 steps"):
         nystrom_spectrum(MIN, midpoint_grid(100), 5)
+
+
+def test_lanczos_breakdown_is_a_numeric_error(monkeypatch):
+    # the zero kernel maps the start vector to 0: the Krylov space stops at one vector
+    monkeypatch.setattr(nystrom, "min_max_factors", lambda spec: (np.zeros_like, np.ones_like))
+    with pytest.raises(NumericError, match="broke down after 1 of 100 steps"):
+        nystrom_spectrum(MIN, midpoint_grid(100), 5)
+
+
+@st.composite
+def _lanczos_inputs(draw):
+    m = draw(st.integers(5, 200))
+    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m + 1, max_size=m + 1)))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+    grid = QuadratureGrid(np.cumsum(gaps)[:-1] / gaps.sum(), w / w.sum())
+    spec = draw(st.one_of(st.sampled_from([MIN, COSH, KernelSpec("brownian-min")]),
+                          st.builds(lambda a: KernelSpec("sobolev-distance", a=a),
+                                    st.floats(0.0, 1.0))))
+    return spec, grid, draw(st.integers(1, m // 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lanczos_inputs())
+def test_lanczos_matches_dense_eigvalsh_on_random_grids(inputs):
+    spec, grid, count = inputs
+    assert nystrom_solver(spec, grid, count) == "lanczos"
+    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+    got = nystrom_spectrum(spec, grid, count).values
+    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
