@@ -275,6 +275,7 @@ def cmd_verify_reduction(args) -> int:
             "characterization_passed": char.passed,
             "multiplicity": char.multiplicity,
             "max_achiever_distance": char.max_achiever_distance,
+            "power_steps": char.power_steps,
         })
     payload = {"instances": len(reports), "failures": failures, "reports": reports}
     if args.out:

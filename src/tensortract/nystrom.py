@@ -29,10 +29,12 @@ from .spectra import (EigenSequence, KernelSpec, _kernel, _unit_points, gram_mat
                       min_max_factors)
 
 # Lanczos keeps a (2 count + 10) x m basis and orthogonalizes every step
-# against it twice, so at count = m/5 it costs about as much as dense eigvalsh
-# (2-core Xeon, Lanczos against dense: 17-19 against 19-20 ms at m = 500,
-# 133 against 86-93 ms at m = 1000, 584-635 against 568-600 ms at m = 2000).
-_LANCZOS_MAX_SHARE = 0.2
+# against it twice, so past count = m/6 dense eigvalsh can win (sobolev-cosh,
+# 2-core Xeon, one BLAS thread, Lanczos against dense: at m/6 12-16 against
+# 22-27 ms at m = 500, 96-100 against 139-167 ms at m = 1000, 761-814
+# against 907-990 ms at m = 2000; at m/5 Lanczos takes 1127-1190 ms at
+# m = 2000).
+_LANCZOS_MAX_SHARE = 1 / 6
 _LANCZOS_STEP = 20        # basis rows added per extension
 _LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
 
@@ -86,7 +88,7 @@ def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
 
     ``circulant-fft``: korobov on the midpoint grid, where K depends only on
     (i - j) mod m.  ``lanczos``: the four u(min) v(max) kernels with
-    count <= m/5; their simple eigenvalues keep Lanczos away from the paired
+    count <= m/6; their simple eigenvalues keep Lanczos away from the paired
     Korobov spectrum.  ``dense``: everything else.
     """
     m = len(grid)

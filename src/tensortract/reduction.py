@@ -299,6 +299,41 @@ def verify_domination(problem: DiscreteProblem, g_coords: np.ndarray, n: int,
                             passed=counterexample is None)
 
 
+def _g_norms(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Norms of the columns of X under the inner product with Gram M."""
+    return np.sqrt(np.maximum((X * (M @ X)).sum(axis=0), 0.0))
+
+
+def _block_power_iteration(P: np.ndarray, M: np.ndarray, g: np.ndarray) -> int:
+    """Run power iteration on P, normalized in the G norm (Gram M), from
+    every G-unit column of g at once, in place; return the block steps.
+
+    One product with P per step (block power iteration, Golub & Van Loan,
+    Matrix Computations, 4th ed., sec. 8.2.4, without orthogonalizing the
+    columns against each other, so each follows, up to rounding, the path a
+    lone power iteration from its start takes).  The working block w holds the columns
+    still moving: a column settles once its step is below _POWER_STEP_TOL
+    in the G norm.  A column that P annihilates turns to NaN and settles at
+    once.  Raises NumericError past _POWER_MAX_ITERS steps.
+    """
+    active, w = np.arange(g.shape[1]), g
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.size:
+            if steps == _POWER_MAX_ITERS:
+                raise NumericError(f"power iteration on SS* did not settle in "
+                                   f"{_POWER_MAX_ITERS} steps (top eigenvalues nearly tied)")
+            steps += 1
+            h = P @ w
+            h /= _g_norms(h, M)
+            moving = _g_norms(h - w, M) >= _POWER_STEP_TOL
+            w = h
+            if not moving.all():
+                g[:, active] = w
+                active, w = active[moving], w[:, moving]
+    return steps
+
+
 @dataclass
 class CharacterizationReport:
     """Outcome of verifying that unit g attains e0(I_g) = e0(S) exactly on
@@ -311,6 +346,7 @@ class CharacterizationReport:
     max_achiever_distance: float
     strict_gap_margin: float
     passed: bool
+    power_steps: int
 
 
 def verify_e0_characterization(problem: DiscreteProblem, samples: int,
@@ -320,6 +356,10 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
     lie within 1e-6 G-distance of the characterized set.  Also checks the
     strict gap: adding a component orthogonal to S(top eigenspace) provably
     lowers ||S*g||_F.
+
+    The converse search iterates all ``samples`` random starts as the
+    columns of one k x samples block (`_block_power_iteration` on SS* in G
+    coordinates); ``power_steps`` reports its block steps.
     """
     if samples < 1:
         raise ParameterError("need at least one search sample")
@@ -349,35 +389,23 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                              abs(gnorm - 1.0),
                              abs(s_star_norm(g) - math.sqrt(lam1)))
 
-    # converse: random starts refined by power iteration on SS* in G
-    achievers = 0
+    # converse: random starts, one per column, refined by power iteration
+    g = rng.standard_normal((samples, problem.k)).T
+    g /= _g_norms(g, M)
+    power_steps = _block_power_iteration(P, M, g)
+
+    # ||S*g||_F^2 = g' M P g; NaN columns compare False and drop out
+    s_star_norms = np.sqrt(np.maximum((g * (M @ (P @ g))).sum(axis=0), 0.0))
+    found = g[:, s_star_norms >= math.sqrt(lam1) - 1e-8]
+    achievers = found.shape[1]
     max_dist = 0.0
-    for _ in range(samples):
-        g = rng.standard_normal(problem.k)
-        g /= math.sqrt(float(g @ M @ g))
-        for _ in range(_POWER_MAX_ITERS):
-            h = P @ g
-            nrm = math.sqrt(max(float(h @ M @ h), 0.0))
-            if nrm == 0.0:
-                break
-            h /= nrm
-            step, g = h - g, h
-            if float(step @ M @ step) < _POWER_STEP_TOL ** 2:
-                break
+    if achievers:
+        proj = V @ (V.T @ (M @ found))
+        pn = _g_norms(proj, M)
+        if np.any(pn == 0.0):
+            max_dist = math.inf
         else:
-            raise NumericError(f"power iteration on SS* did not settle in "
-                               f"{_POWER_MAX_ITERS} steps (top eigenvalues nearly tied)")
-        if nrm == 0.0:
-            continue
-        if s_star_norm(g) >= math.sqrt(lam1) - 1e-8:
-            achievers += 1
-            proj = V @ (V.T @ (M @ g))
-            pn = math.sqrt(float(proj @ M @ proj))
-            if pn == 0.0:
-                max_dist = math.inf
-                continue
-            diff = g - proj / pn
-            max_dist = max(max_dist, math.sqrt(max(float(diff @ M @ diff), 0.0)))
+            max_dist = float(np.max(_g_norms(found - proj / pn, M)))
 
     # strict inequality for g with a component outside S(top eigenspace)
     strict_margin = math.inf
@@ -403,7 +431,7 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                                   achievers=achievers,
                                   max_achiever_distance=max_dist,
                                   strict_gap_margin=strict_margin,
-                                  passed=passed)
+                                  passed=passed, power_steps=power_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,8 @@ def test_verify_reduction_small(tmp_path):
     data = json.loads(out.read_text())
     assert data["failures"] == 0
     assert len(data["reports"]) == 4
+    assert all(isinstance(r["power_steps"], int) and r["power_steps"] >= 1
+               for r in data["reports"])
 
 
 def test_verify_reduction_from_file(tmp_path):
@@ -281,6 +283,12 @@ def test_reproduce_fail_hook(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run(["reproduce", "--only", "1", "--fail", "1", "--out", str(out),
                 "--format", "csv"]) == 4
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cid", ["9", "13"])
+def test_reproduce_fail_hook_on_characterization_and_goodcase(capsys, cid):
+    assert run(["reproduce", "--only", cid, "--fail", cid]) == 4
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
                          sobolev_min_eigenvalues)
 from tensortract import complexity
-from tensortract.complexity import _effective_budget, _participating_weights
+from tensortract.complexity import (_effective_budget, _participating_weights,
+                                    _section_deviations)
 
 KOR = korobov_eigenvalues(1.0, 0.5, 40)
 KOR_TIE = korobov_eigenvalues(1.0, 1.0, 40)
@@ -314,6 +316,59 @@ def test_goodcase_checker():
     constant = Eigenpair(index=1, value=1.0,
                          func=lambda x: np.ones_like(np.asarray(x, float)))
     assert check_goodcase_sobolev_min(constant) is False
+
+
+_XS = np.linspace(0.0, 1.0, 1001)
+
+
+def _sweep_deviations(xs, vals):
+    # the full grid x grid oracle: every section model, then its worst deviation
+    models = vals[0] * (1.0 + np.minimum(xs[None, :], xs[:, None]))
+    return np.max(np.abs(models - vals[None, :]), axis=1)
+
+
+def _assert_scan_matches_sweep(vals):
+    got = _section_deviations(_XS, vals)
+    assert got.tobytes() == _sweep_deviations(_XS, vals).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("j", range(1, 8))
+def test_goodcase_scan_matches_sweep_on_eigenfunctions(j):
+    _assert_scan_matches_sweep(sobolev_min_eigenpair(j)(_XS))
+
+
+@pytest.mark.parametrize("t", [0.0, _XS[1], 0.25, _XS[500], 0.613, 0.61349, 1.0])
+def test_goodcase_scan_matches_sweep_on_kernel_sections(t):
+    _assert_scan_matches_sweep(0.7 * (1.0 + np.minimum(_XS, t)))
+
+
+def test_goodcase_scan_matches_sweep_on_constant_and_nan():
+    _assert_scan_matches_sweep(np.ones_like(_XS))
+    vals = sobolev_min_eigenpair(1)(_XS)
+    vals[400] = np.nan
+    assert np.all(np.isnan(_assert_scan_matches_sweep(vals)))
+    nan_eta = Eigenpair(index=1, value=1.0,
+                        func=lambda x: np.where(np.asarray(x) > 0.4, np.nan, 1.0))
+    assert check_goodcase_sobolev_min(nan_eta) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+def test_goodcase_scan_matches_sweep_on_polynomials(coeffs):
+    _assert_scan_matches_sweep(np.polynomial.polynomial.polyval(_XS, coeffs))
+
+
+def test_goodcase_check_memory_is_linear_in_the_grid():
+    eta1 = sobolev_min_eigenpair(1)
+    check_goodcase_sobolev_min(eta1)  # warm caches outside the traced call
+    tracemalloc.start()
+    try:
+        assert check_goodcase_sobolev_min(eta1) is True
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the 1001 x 1001 sweep needs about 24 MB
 
 
 def test_classify_min_kernel():

@@ -13,7 +13,8 @@ from tensortract import (DiscreteProblem, Functional, NumericError,
                          random_problem, random_problem_with_multiplicity,
                          save_problem, top_eigenpair, verify_domination,
                          verify_e0_characterization)
-from tensortract.reduction import _generalized_eigh
+from tensortract import reduction
+from tensortract.reduction import _POWER_MAX_ITERS, _POWER_STEP_TOL, _generalized_eigh
 
 
 def test_scalar_problem_top_eigenvalue():
@@ -246,6 +247,72 @@ def test_verify_e0_characterization_unsettled_power_iteration_raises():
     p = random_problem_with_multiplicity(seed=1, m=4, multiplicity=1, gap=1e-7)
     with pytest.raises(NumericError):
         verify_e0_characterization(p, samples=1, seed=0)
+
+
+def _per_sample_power_iteration(P, M, g):
+    """Oracle for the block power iteration: one loop per start column."""
+    steps = 0
+    for j in range(g.shape[1]):
+        x = g[:, j]
+        for taken in range(1, _POWER_MAX_ITERS + 1):
+            h = P @ x
+            nrm = math.sqrt(max(float(h @ M @ h), 0.0))
+            if nrm == 0.0:
+                h = np.full_like(x, np.nan)  # annihilated: never an achiever
+                break
+            h /= nrm
+            step, x = h - x, h
+            if float(step @ M @ step) < _POWER_STEP_TOL ** 2:
+                break
+        else:
+            raise NumericError("power iteration did not settle")
+        g[:, j] = h
+        steps = max(steps, taken)
+    return steps
+
+
+def _characterization_cases():
+    # criterion 9's instances, then random problems as verify-reduction draws them
+    rng = np.random.default_rng(947)
+    for i, mult in enumerate([1] * 7 + [2] * 7 + [4] * 6):
+        m = int(rng.integers(max(mult, 4), 9))
+        yield random_problem_with_multiplicity(seed=3000 + i, m=m, multiplicity=mult), 30, 4000 + i
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        m, k = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        yield random_problem(seed=700 + i, m=m, k=k), 5, i
+
+
+def test_block_power_iteration_matches_per_sample_oracle(monkeypatch):
+    cases = list(_characterization_cases())
+    block = [verify_e0_characterization(p, samples=s, seed=seed) for p, s, seed in cases]
+    monkeypatch.setattr(reduction, "_block_power_iteration", _per_sample_power_iteration)
+    for (p, s, seed), got in zip(cases, block):
+        want = verify_e0_characterization(p, samples=s, seed=seed)
+        assert (got.passed, got.achievers, got.multiplicity, got.forward_max_defect,
+                got.strict_gap_margin, got.power_steps) == \
+            (want.passed, want.achievers, want.multiplicity, want.forward_max_defect,
+             want.strict_gap_margin, want.power_steps)
+        assert abs(got.max_achiever_distance - want.max_achiever_distance) <= 1e-12
+
+
+def test_block_starts_consume_the_per_sample_stream():
+    # one (samples, k) draw leaves the generator where samples draws of k do,
+    # so the strict-gap rows that follow see the same numbers
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    block = a.standard_normal((7, 3))
+    rows = np.array([b.standard_normal(3) for _ in range(7)])
+    assert block.tobytes() == rows.tobytes()
+    assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+
+
+def test_power_steps_on_a_simple_top_eigenvalue():
+    # lambda_2 / lambda_1 = 0.5: each step shrinks the error about twofold, so
+    # a 1e-13 step needs some 45 steps
+    p = random_problem_with_multiplicity(seed=3, m=6, multiplicity=1)
+    report = verify_e0_characterization(p, samples=25, seed=3)
+    assert report.multiplicity == 1 and report.passed
+    assert 40 <= report.power_steps <= 60
 
 
 def test_piecewise_model_any_unit_g_attains_e0():
