@@ -305,7 +305,7 @@ def c13_goodcase_and_classification(perturb=False):
     eta1 = sobolev_min_eigenpair(1)
     rows = [_flag("13", "goodcase holds for the cosine eigenfunction",
                   check_goodcase_sobolev_min(eta1), perturb)]
-    for t in (0.0, 0.25, 0.5, 1.0):
+    for t in (0.0, 0.25, 0.5, 1.0, 0.6135):   # 0.6135 lies between the grid points
         section = Eigenpair(index=1, value=1.0,
                             func=lambda x, t=t: 0.7 * (1.0 + np.minimum(np.asarray(x, dtype=float), t)))
         rows.append(_flag(

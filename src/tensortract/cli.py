@@ -21,7 +21,8 @@ import numpy as np
 
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
-from .eigensolve import family_eigenpair, family_eigenvalues, sobolev_min_eigenpair
+from .eigensolve import (ANALYTIC_FAMILIES, family_eigenpair, family_eigenvalues,
+                         sobolev_min_eigenpair)
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -89,12 +90,9 @@ def _emit(args, header, rows, payload) -> None:
 
 
 def _family_spec(args) -> KernelSpec:
-    return KernelSpec(
-        family=args.family,
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        a=getattr(args, "anchor", None),
-    )
+    # only oracle-eigs takes --anchor
+    return KernelSpec(family=args.family, alpha=args.alpha, beta=args.beta,
+                      a=getattr(args, "anchor", None))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +221,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.family != "sobolev-min":
-        raise ParameterError("the density command supports the sobolev-min family only")
     xs, ys, integral = density_profile(args.samples)
     stem = Path(args.out) if args.out else Path("density")
     if stem.suffix in (".csv", ".svg", ".json"):
@@ -275,7 +271,6 @@ def cmd_verify_reduction(args) -> int:
             "characterization_passed": char.passed,
             "multiplicity": char.multiplicity,
             "max_achiever_distance": char.max_achiever_distance,
-            "power_steps": char.power_steps,
         })
     payload = {"instances": len(reports), "failures": failures, "reports": reports}
     if args.out:
@@ -326,26 +321,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "reproducing-kernel Hilbert spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True, tabular=True):
+    def common(p, families=(), tabular=True):
         p.add_argument("--out", default=None, help="output path")
         if tabular:
             p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--config", default=None,
                        help="flat key=value file supplying defaults (flags win)")
-        if family:
-            p.add_argument("--family", default="sobolev-min", choices=FAMILIES)
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--anchor", type=float, default=None,
-                           help="anchor a for the sobolev-distance family")
+        if families:
+            p.add_argument("--family", default="sobolev-min", choices=families)
+            p.add_argument("--alpha", type=float, default=None,
+                           help="smoothness alpha for the korobov family")
+            p.add_argument("--beta", type=float, default=None,
+                           help="weight beta for the korobov family")
 
     p = sub.add_parser("eigs", help="analytic eigenpairs of a family")
-    common(p)
+    common(p, ANALYTIC_FAMILIES)
     p.add_argument("--count", type=int, default=10)
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("oracle-eigs", help="quadrature (Nystrom) spectrum")
-    common(p)
+    common(p, FAMILIES)
+    p.add_argument("--anchor", type=float, default=None,
+                   help="anchor a for the sobolev-distance family")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--grid-size", type=int, default=2000)
     p.add_argument("--refine", default=None,
@@ -353,23 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle_eigs)
 
     p = sub.add_parser("complexity", help="exact n(eps, S_d) for linear information")
-    common(p)
+    common(p, ANALYTIC_FAMILIES)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--info-class", choices=["all", "std"], default="all")
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("classify", help="tractability classification of a family")
-    common(p)
+    common(p, ANALYTIC_FAMILIES)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("density", help="unit-norm density matching the initial error")
+    p = sub.add_parser("density", help="unit-norm sobolev-min density matching the initial error")
     common(p, tabular=False)
     p.add_argument("--samples", type=int, default=513)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("verify-reduction", help="finite-dimensional reduction checks")
-    common(p, family=False, tabular=False)
+    common(p, tabular=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problems", type=int, default=100)
     p.add_argument("--trials", type=int, default=3)
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_reduction)
 
     p = sub.add_parser("reproduce", help="run the full acceptance suite")
-    common(p, family=False)
+    common(p)
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
     p.add_argument("--fail", default=None, help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=cmd_reproduce)

@@ -33,6 +33,8 @@ _BRUTE_MAX_TUPLES = 10 ** 8
 _BRUTE_CHUNK = 2 * 10 ** 7
 _HEAP_MAX_POPS = 10 ** 6
 _MULTISET_GUARD = 2 * 10 ** 6
+_GOODCASE_GRID = 1001
+_GOODCASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -227,42 +229,21 @@ def qpt_exponent(lambda1: float, lambda2: float, decay: float) -> float:
     return max(2.0 / decay, 2.0 / math.log(lambda1 / lambda2))
 
 
-def check_goodcase_sobolev_min(eta1: Eigenpair, grid: int = 1001, tol: float = 1e-9) -> bool:
-    """True iff eta_1 is NOT of the form a (1 + min(., t)) for any a, t.
+def check_goodcase_sobolev_min(eta1: Eigenpair) -> bool:
+    """True iff eta_1 is NOT of the form a (1 + min(., t)) for any a and t in [0, 1].
 
-    For each candidate t on the test grid the scale a is forced by the value
-    at x = 0 (the kernel section equals a there), and t is rejected when
-    eta_1 deviates from the section shape by more than ``tol`` anywhere on
-    the grid.  For the analytic cosine eigenfunction every t is rejected, so
-    the check certifies the condition rather than searching for it.  A NaN
-    value rejects nothing, so the check returns False.
-
-    The worst deviation of every candidate comes from one prefix and one
-    suffix scan (`_section_deviations`), in O(grid) time and memory, with
-    the same floats as forming all grid x grid section models.
+    The end values force the section: a = eta_1(0), and eta_1(1) = a (1 + t)
+    gives t = eta_1(1) / a - 1, clipped to [0, 1] (with a = 0 the section is
+    zero for every t).  The condition holds when eta_1 deviates from that one
+    section by more than 1e-9 somewhere on a grid of 1001 points.  A NaN
+    value gives False.
     """
-    xs = np.linspace(0.0, 1.0, grid)
-    return bool(np.all(_section_deviations(xs, eta1(xs)) > tol))
-
-
-def _section_deviations(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """max_x |a (1 + min(x, t)) - eta(x)| over the grid xs for each t = xs[j],
-    with a = eta(xs[0]), in O(grid) memory.
-
-    Up to t the section is a (1 + x): a prefix maximum of the deviations.
-    Past t it is the constant c = a (1 + t), and since float subtraction is
-    monotone, max_x |c - eta(x)| there is exactly max(c - min eta, max eta - c):
-    suffix minima and maxima.  The floats equal those of the full
-    grid x grid sweep, and NaNs propagate through the accumulations.
-    """
-    head = vals[0] * (1.0 + xs)
-    dev = np.maximum.accumulate(np.abs(head - vals))
-    rest = vals[:0:-1]  # eta past xs[j], for j < grid - 1, reversed
-    tail_min = np.minimum.accumulate(rest)[::-1]
-    tail_max = np.maximum.accumulate(rest)[::-1]
-    c = head[:-1]
-    dev[:-1] = np.maximum(dev[:-1], np.maximum(c - tail_min, tail_max - c))
-    return dev
+    xs = np.linspace(0.0, 1.0, _GOODCASE_GRID)
+    vals = eta1(xs)
+    a = vals[0]
+    with np.errstate(over="ignore"):   # a tiny a: t clips to 1
+        t = np.clip(vals[-1] / a - 1.0, 0.0, 1.0) if a != 0.0 else 0.0
+    return bool(np.max(np.abs(a * (1.0 + np.minimum(xs, t)) - vals)) > _GOODCASE_TOL)
 
 
 def classify(lambda1: float, lambda2: float, decay: float,

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .spectra import Eigenpair, EigenSequence, KernelSpec
 
+# The families with an analytic eigenvalue and eigenpair rule.
+ANALYTIC_FAMILIES = ("sobolev-min", "sobolev-cosh", "korobov")
+
 # Bisection width before the final Newton polish.
 _BISECT_ATOL = 1e-13
 # Offset keeping the bracket away from the cot singularities at multiples of pi.

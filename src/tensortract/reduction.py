@@ -24,10 +24,12 @@ from .spectra import REL_TIE
 
 _SPD_RTOL = 1e-12
 _SUBSET_GUARD = 10 ** 6
-# Power iteration on SS* stops once a step moves g less than this in the G
-# norm; the cap bounds the work when the top two eigenvalues nearly tie.
-_POWER_STEP_TOL = 1e-13
-_POWER_MAX_ITERS = 50_000
+_DOMINATION_TOL = 1e-12
+# The converse of the e0 characterization needs the top eigenspace of SS*
+# this far (relative) from the next eigenvalue: closer, rounding can turn the
+# computed eigenspace past the 1e-6 achiever tolerance (Davis & Kahan, The
+# rotation of eigenvectors by a perturbation III, SIAM J. Numer. Anal. 7, 1970).
+_MIN_REL_GAP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,20 +262,20 @@ class DominationReport:
 
 
 def verify_domination(problem: DiscreteProblem, g_coords: np.ndarray, n: int,
-                      trials: int, seed: int = 0, tol: float = 1e-12) -> DominationReport:
+                      trials: int, seed: int = 0) -> DominationReport:
     """Check that the functional I_g is never harder than S at level n.
 
-    (a) minimal_error_std(I_g, n) <= minimal_error_std(S, n) + tol, both by
+    (a) minimal_error_std(I_g, n) <= minimal_error_std(S, n) + 1e-12, both by
     exhaustive search; (b) for random linear algorithms A_n f = sum f(t_j) S f_j
     and random unit-ball f, the transferred algorithm
     B_n f = sum f(t_j) <f_j, S*g>_F satisfies
-    |I_g f - B_n f| <= ||Sf - A_n f||_G + tol.
+    |I_g f - B_n f| <= ||Sf - A_n f||_G + 1e-12.
     """
     func = build_Ig(problem, g_coords)
     e_func, _ = minimal_error_std(problem, func, n)
     e_op, _ = minimal_error_std(problem, "operator", n)
     counterexample = None
-    if e_func > e_op + tol:
+    if e_func > e_op + _DOMINATION_TOL:
         counterexample = {"kind": "exact", "e_n_functional": e_func, "e_n_operator": e_op}
 
     rng = np.random.default_rng(seed)
@@ -290,7 +292,7 @@ def verify_domination(problem: DiscreteProblem, g_coords: np.ndarray, n: int,
         lhs = abs(float(resid @ Gr))
         rhs = math.sqrt(max(float(resid @ A @ resid), 0.0))
         max_excess = max(max_excess, lhs - rhs)
-        if lhs > rhs + tol and counterexample is None:
+        if lhs > rhs + _DOMINATION_TOL and counterexample is None:
             counterexample = {"kind": "pointwise", "lhs": lhs, "rhs": rhs,
                               "points": idx.tolist()}
     return DominationReport(e_n_functional=e_func, e_n_operator=e_op,
@@ -304,34 +306,25 @@ def _g_norms(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum((X * (M @ X)).sum(axis=0), 0.0))
 
 
-def _block_power_iteration(P: np.ndarray, M: np.ndarray, g: np.ndarray) -> int:
-    """Run power iteration on P, normalized in the G norm (Gram M), from
-    every G-unit column of g at once, in place; return the block steps.
+def _dominant_projection(P: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The limit of power iteration on P, normalized in the G norm (Gram M),
+    from every column of g: the G-orthogonal projection of the column onto
+    the top eigenspace of P, scaled to unit G norm (Golub & Van Loan, Matrix
+    Computations, 4th ed., sec. 8.2).  A column with no component there
+    turns to NaN.
 
-    One product with P per step (block power iteration, Golub & Van Loan,
-    Matrix Computations, 4th ed., sec. 8.2.4, without orthogonalizing the
-    columns against each other, so each follows, up to rounding, the path a
-    lone power iteration from its start takes).  The working block w holds the columns
-    still moving: a column settles once its step is below _POWER_STEP_TOL
-    in the G norm.  A column that P annihilates turns to NaN and settles at
-    once.  Raises NumericError past _POWER_MAX_ITERS steps.
+    P is self-adjoint in the G inner product, so the pencil (M P, M) has
+    its spectrum with M-orthonormal eigenvectors.  Raises NumericError when
+    the next eigenvalue lies within _MIN_REL_GAP of the top one.
     """
-    active, w = np.arange(g.shape[1]), g
-    steps = 0
+    mu, U = _generalized_eigh(M @ P, M)
+    top = mu >= mu[-1] * (1.0 - REL_TIE)
+    if np.any(mu[~top] > mu[-1] * (1.0 - _MIN_REL_GAP)):
+        raise NumericError("top eigenvalues of SS* nearly tied: their relative gap is "
+                           f"below {_MIN_REL_GAP:g}, too small to resolve the top eigenspace")
+    proj = U[:, top] @ (U[:, top].T @ (M @ g))
     with np.errstate(divide="ignore", invalid="ignore"):
-        while active.size:
-            if steps == _POWER_MAX_ITERS:
-                raise NumericError(f"power iteration on SS* did not settle in "
-                                   f"{_POWER_MAX_ITERS} steps (top eigenvalues nearly tied)")
-            steps += 1
-            h = P @ w
-            h /= _g_norms(h, M)
-            moving = _g_norms(h - w, M) >= _POWER_STEP_TOL
-            w = h
-            if not moving.all():
-                g[:, active] = w
-                active, w = active[moving], w[:, moving]
-    return steps
+        return proj / _g_norms(proj, M)
 
 
 @dataclass
@@ -346,20 +339,18 @@ class CharacterizationReport:
     max_achiever_distance: float
     strict_gap_margin: float
     passed: bool
-    power_steps: int
 
 
 def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                                seed: int = 0) -> CharacterizationReport:
     """Forward: g = lambda_1^(-1/2) S eta has unit norm and ||S*g||_F = sqrt(lambda_1).
-    Converse: numerically maximize ||S*g||_F over unit g; every achiever must
-    lie within 1e-6 G-distance of the characterized set.  Also checks the
-    strict gap: adding a component orthogonal to S(top eigenspace) provably
-    lowers ||S*g||_F.
-
-    The converse search iterates all ``samples`` random starts as the
-    columns of one k x samples block (`_block_power_iteration` on SS* in G
-    coordinates); ``power_steps`` reports its block steps.
+    Converse: maximize ||S*g||_F over unit g from ``samples`` random starts;
+    every achiever must lie within 1e-6 G-distance of the characterized set.
+    Each start goes straight to where power iteration on SS* would take it
+    (`_dominant_projection`, from an eigensolve of SS* in G coordinates, apart
+    from the F-side eigensolve that defines the set).  Also checks the strict
+    gap: adding a component orthogonal to S(top eigenspace) provably lowers
+    ||S*g||_F.
     """
     if samples < 1:
         raise ParameterError("need at least one search sample")
@@ -389,10 +380,8 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                              abs(gnorm - 1.0),
                              abs(s_star_norm(g) - math.sqrt(lam1)))
 
-    # converse: random starts, one per column, refined by power iteration
-    g = rng.standard_normal((samples, problem.k)).T
-    g /= _g_norms(g, M)
-    power_steps = _block_power_iteration(P, M, g)
+    # converse: random starts, one per column, taken to the power-iteration limit
+    g = _dominant_projection(P, M, rng.standard_normal((samples, problem.k)).T)
 
     # ||S*g||_F^2 = g' M P g; NaN columns compare False and drop out
     s_star_norms = np.sqrt(np.maximum((g * (M @ (P @ g))).sum(axis=0), 0.0))
@@ -431,7 +420,7 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                                   achievers=achievers,
                                   max_achiever_distance=max_dist,
                                   strict_gap_margin=strict_margin,
-                                  passed=passed, power_steps=power_steps)
+                                  passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ class KernelSpec:
 
     Every given parameter is finite; ``korobov`` requires ``alpha > 1/2`` and
     ``beta`` in (0, 1]; ``sobolev-distance`` requires an anchor ``a`` in [0, 1].
+    No other family takes ``alpha``, ``beta`` or ``a``.
     """
 
     family: str
@@ -45,6 +46,10 @@ class KernelSpec:
             raise ParameterError(f"unknown kernel family {self.family!r}")
         if not all(v is None or math.isfinite(v) for v in (self.alpha, self.beta, self.a)):
             raise ParameterError(f"kernel parameters must be finite, got {self}")
+        if self.family != "korobov" and (self.alpha is not None or self.beta is not None):
+            raise ParameterError(f"only korobov takes alpha and beta, got {self}")
+        if self.family != "sobolev-distance" and self.a is not None:
+            raise ParameterError(f"only sobolev-distance takes the anchor a, got {self}")
         if self.family == "korobov":
             if self.alpha is None or self.beta is None:
                 raise ParameterError("korobov needs alpha and beta")

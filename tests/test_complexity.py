@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          ParameterError, ResourceLimitError, TruncationError,
@@ -15,8 +15,7 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
                          sobolev_min_eigenvalues)
 from tensortract import complexity
-from tensortract.complexity import (_effective_budget, _participating_weights,
-                                    _section_deviations)
+from tensortract.complexity import _effective_budget, _participating_weights
 
 KOR = korobov_eigenvalues(1.0, 0.5, 40)
 KOR_TIE = korobov_eigenvalues(1.0, 1.0, 40)
@@ -321,42 +320,69 @@ def test_goodcase_checker():
 _XS = np.linspace(0.0, 1.0, 1001)
 
 
-def _sweep_deviations(xs, vals):
-    # the full grid x grid oracle: every section model, then its worst deviation
-    models = vals[0] * (1.0 + np.minimum(xs[None, :], xs[:, None]))
+def _sweep_deviations(xs, vals, ts):
+    # the full oracle: one section model per candidate t, then its worst deviation
+    models = vals[0] * (1.0 + np.minimum(xs[None, :], ts[:, None]))
     return np.max(np.abs(models - vals[None, :]), axis=1)
 
 
-def _assert_scan_matches_sweep(vals):
-    got = _section_deviations(_XS, vals)
-    assert got.tobytes() == _sweep_deviations(_XS, vals).tobytes()
-    return got
+def _assert_check_matches_sweep(func):
+    # the verdict of the sweep over every grid t; NaN deviations reject nothing
+    want = bool(np.all(_sweep_deviations(_XS, func(_XS), _XS) > 1e-9))
+    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=func)) is want
+    return want
+
+
+def _section(t, a=0.7):
+    return lambda x: a * (1.0 + np.minimum(x, t))
 
 
 @pytest.mark.parametrize("j", range(1, 8))
 def test_goodcase_scan_matches_sweep_on_eigenfunctions(j):
-    _assert_scan_matches_sweep(sobolev_min_eigenpair(j)(_XS))
+    assert _assert_check_matches_sweep(sobolev_min_eigenpair(j).func) is True
 
 
 @pytest.mark.parametrize("t", [0.0, _XS[1], 0.25, _XS[500], 0.613, 0.61349, 1.0])
 def test_goodcase_scan_matches_sweep_on_kernel_sections(t):
-    _assert_scan_matches_sweep(0.7 * (1.0 + np.minimum(_XS, t)))
+    if t in _XS:
+        assert _assert_check_matches_sweep(_section(t)) is False
+    else:  # the sweep tries grid t only and misses the section
+        assert np.all(_sweep_deviations(_XS, _section(t)(_XS), _XS) > 1e-9)
+        assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t))) is False
+
+
+@pytest.mark.parametrize("t", [0.0005, 1.0 / 3.0, 0.6135, 0.61349, 0.999999])
+@pytest.mark.parametrize("a", [0.7, -1.3, 1e-3, 5.0])
+def test_goodcase_rejects_kernel_sections_between_grid_points(t, a):
+    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t, a))) is False
 
 
 def test_goodcase_scan_matches_sweep_on_constant_and_nan():
-    _assert_scan_matches_sweep(np.ones_like(_XS))
-    vals = sobolev_min_eigenpair(1)(_XS)
-    vals[400] = np.nan
-    assert np.all(np.isnan(_assert_scan_matches_sweep(vals)))
-    nan_eta = Eigenpair(index=1, value=1.0,
-                        func=lambda x: np.where(np.asarray(x) > 0.4, np.nan, 1.0))
-    assert check_goodcase_sobolev_min(nan_eta) is False
+    assert _assert_check_matches_sweep(np.ones_like) is False
+    assert _assert_check_matches_sweep(np.zeros_like) is False
+    assert _assert_check_matches_sweep(lambda x: x) is True   # a = 0 forces the zero section
+    for nan_at in (0.0, 0.4, 1.0):
+        assert _assert_check_matches_sweep(lambda x: np.where(x == nan_at, np.nan, 1.0 + x)) is False
+    assert _assert_check_matches_sweep(lambda x: np.where(x > 0.4, np.nan, 1.0)) is False
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+@example([1.0, 1e-9])   # within 1e-9 of the off-grid section at t = 1e-9 only
+@example([7e-9, 2e-9])  # 8.4e-10 from a grid section, 1.4e-9 from the forced one
 def test_goodcase_scan_matches_sweep_on_polynomials(coeffs):
-    _assert_scan_matches_sweep(np.polynomial.polynomial.polyval(_XS, coeffs))
+    # eta within delta of the section at t_j is within 2 delta of the forced one,
+    # as |a| |t - t_j| = |eta(1) - a (1 + t_j)| <= delta: so the check certifies
+    # only what the sweep certifies at half the tolerance, and it rejects only
+    # where the forced section lies within the tolerance
+    vals = np.polynomial.polynomial.polyval(_XS, coeffs)
+    eta = Eigenpair(index=1, value=1.0, func=lambda x: np.polynomial.polynomial.polyval(x, coeffs))
+    if check_goodcase_sobolev_min(eta):
+        assert np.all(_sweep_deviations(_XS, vals, _XS) > 0.5e-9)
+    else:
+        with np.errstate(all="ignore"):
+            forced = np.clip(vals[-1] / vals[0] - 1.0, 0.0, 1.0) if vals[0] else 0.0
+        assert not _sweep_deviations(_XS, vals, np.array([forced]))[0] > 1e-9
 
 
 def test_goodcase_check_memory_is_linear_in_the_grid():
