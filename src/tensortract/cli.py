@@ -22,7 +22,7 @@ import numpy as np
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
 from .eigensolve import (ANALYTIC_FAMILIES, family_eigenpair, family_eigenvalues,
-                         sobolev_min_eigenpair)
+                         family_exact_decay, sobolev_min_eigenpair)
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -127,14 +127,15 @@ def cmd_eigs(args) -> int:
     spec = _family_spec(args)
     if args.count > _MAX_EIGENVALUES:
         raise ResourceLimitError(f"--count {args.count} exceeds 2^21 eigenpairs")
-    seq = family_eigenvalues(spec, args.count)
+    if args.count < 1:
+        raise ParameterError("count must be >= 1")
     pairs = [family_eigenpair(spec, j) for j in range(1, args.count + 1)]
     keys = sorted(pairs[0].params)
     header = ["j", "lambda"] + keys
     rows = [[p.index, p.value] + [p.params[k] for k in keys] for p in pairs]
     payload = {
         "family": spec.label(),
-        "exact_decay": seq.exact_decay,
+        "exact_decay": family_exact_decay(spec),
         "eigenpairs": [dict(zip(header, row)) for row in rows],
     }
     _emit(args, header, rows, payload)

@@ -34,7 +34,7 @@ _BRUTE_CHUNK = 2 * 10 ** 7
 _HEAP_MAX_POPS = 10 ** 6
 _MULTISET_GUARD = 2 * 10 ** 6
 _GOODCASE_GRID = 1001
-_GOODCASE_TOL = 1e-9
+_GOODCASE_RTOL = 1e-9    # relative to max |eta_1| on the grid
 
 
 @dataclass(frozen=True)
@@ -235,15 +235,17 @@ def check_goodcase_sobolev_min(eta1: Eigenpair) -> bool:
     The end values force the section: a = eta_1(0), and eta_1(1) = a (1 + t)
     gives t = eta_1(1) / a - 1, clipped to [0, 1] (with a = 0 the section is
     zero for every t).  The condition holds when eta_1 deviates from that one
-    section by more than 1e-9 somewhere on a grid of 1001 points.  A NaN
-    value gives False.
+    section by more than 1e-9 max |eta_1| somewhere on a grid of 1001 points,
+    so scaling eta_1 leaves the verdict unchanged.  A NaN value, or
+    eta_1 = 0, gives False.
     """
     xs = np.linspace(0.0, 1.0, _GOODCASE_GRID)
     vals = eta1(xs)
     a = vals[0]
     with np.errstate(over="ignore"):   # a tiny a: t clips to 1
         t = np.clip(vals[-1] / a - 1.0, 0.0, 1.0) if a != 0.0 else 0.0
-    return bool(np.max(np.abs(a * (1.0 + np.minimum(xs, t)) - vals)) > _GOODCASE_TOL)
+    deviation = np.max(np.abs(a * (1.0 + np.minimum(xs, t)) - vals))
+    return bool(deviation > _GOODCASE_RTOL * np.max(np.abs(vals)))
 
 
 def classify(lambda1: float, lambda2: float, decay: float,

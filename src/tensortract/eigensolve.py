@@ -156,6 +156,11 @@ def family_eigenvalues(spec: KernelSpec, count: int) -> EigenSequence:
     raise ParameterError(f"no analytic eigenvalue rule for family {spec.family!r}")
 
 
+def family_exact_decay(spec: KernelSpec) -> float:
+    """The exact decay p, lambda_j ~ j^-p: 2 alpha for korobov, 2 for the rest."""
+    return 2.0 * spec.alpha if spec.family == "korobov" else 2.0
+
+
 def family_eigenpair(spec: KernelSpec, j: int) -> Eigenpair:
     if spec.family == "sobolev-min":
         return sobolev_min_eigenpair(j)

@@ -1,32 +1,34 @@
 """Quadrature discretization of the kernel integral operator.
 
-This is the independent numerical oracle for every analytic eigenvalue rule:
-the eigenvalues of the symmetrically weighted kernel matrix
-M_ij = sqrt(w_i w_j) K(x_i, x_j) converge to the spectrum of the integral
-operator with kernel K, which coincides with the nonzero spectrum of W = S*S
-for L2 approximation.  The composite midpoint rule keeps weights positive,
-avoids endpoint evaluation, and converges at O(m^-2), which Richardson
-extrapolation then sharpens.
+This is the independent numerical oracle for every analytic eigenvalue rule.
+Its one grid is the composite midpoint rule, nodes x_i = (i + 1/2)/m each
+with the weight 1/m, so a grid is its size m.  The eigenvalues of
+M_ij = K(x_i, x_j) / m converge at O(m^-2) to the spectrum of the integral
+operator with kernel K, the nonzero spectrum of W = S*S for L2
+approximation, and Richardson extrapolation sharpens them.
 
-`nystrom_spectrum` picks its eigensolver from its input (see
-`nystrom_solver`): an FFT of one Gram row when the Gram is circulant, Lanczos
-with full reorthogonalization on an O(m) matrix-vector product when the
-kernel is u(min) v(max), and dense `eigvalsh` otherwise.  All three run on
-numpy alone.  The dense path is also the oracle the other two are tested
-against.
+`nystrom_spectrum` picks its eigensolver, all numpy, from family, m and
+count alone (see `nystrom_solver`):
+
+    korobov                          any count      circulant-fft
+    the four u(min) v(max) kernels   count <= m/6   lanczos
+    the four u(min) v(max) kernels   count > m/6    dense eigvalsh
+
+Dense `eigvalsh` is also the oracle the other two are tested against.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .spectra import (EigenSequence, KernelSpec, _kernel, _unit_points, gram_matrix,
-                      min_max_factors)
+from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_factors
 
 # Lanczos keeps a (2 count + 10) x m basis and orthogonalizes every step
 # against it twice, so past count = m/6 dense eigvalsh can win (sobolev-cosh,
@@ -41,42 +43,34 @@ _LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes in [0, 1] with positive weights summing to one."""
+    """The composite midpoint rule with m cells on [0, 1]."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    m: int
 
     def __post_init__(self):
-        nodes = _unit_points(self.nodes)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ParameterError("nodes and weights must be matching nonempty vectors")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ParameterError("nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ParameterError("weights must be positive")
-        if abs(math.fsum(weights) - 1.0) > 1e-14:
-            raise ParameterError("weights must sum to 1")
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ParameterError(f"grid size must be an integer >= 1, got {self.m!r}")
+
+    @cached_property   # computed once: repeated solves on one grid reuse it
+    def nodes(self) -> np.ndarray:
+        """The cell midpoints (i + 1/2) / m, increasing."""
+        return (np.arange(self.m) + 0.5) / self.m
+
+    @property
+    def weight(self) -> float:
+        """The weight 1/m of every node."""
+        return 1.0 / self.m
 
     def __len__(self) -> int:
-        return self.nodes.size
+        return self.m
 
 
-def _midpoint_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
-
-
-def midpoint_grid(m: int) -> QuadratureGrid:
-    """Composite midpoint rule with m cells on [0, 1]."""
-    if m < 1:
-        raise ParameterError("grid size must be >= 1")
-    return QuadratureGrid(*_midpoint_rule(m))
+midpoint_grid = QuadratureGrid   # the constructor every caller uses
 
 
 def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    M = np.sqrt(grid.weights)[:, None] * gram_matrix(spec, grid.nodes) * np.sqrt(grid.weights)[None, :]
+    d = math.sqrt(grid.weight)
+    M = d * gram_matrix(spec, grid.nodes) * d
     asym = np.max(np.abs(M - M.T))
     if asym > 1e-15 * max(1.0, np.max(np.abs(M))):
         raise NumericError(f"weighted kernel matrix asymmetric by {asym:g}")
@@ -86,19 +80,14 @@ def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
 def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
     """The eigensolver `nystrom_spectrum` uses for these inputs.
 
-    ``circulant-fft``: korobov on the midpoint grid, where K depends only on
-    (i - j) mod m.  ``lanczos``: the four u(min) v(max) kernels with
+    ``circulant-fft``: korobov, whose K depends only on (i - j) mod m on the
+    midpoint rule.  ``lanczos``: the four u(min) v(max) kernels with
     count <= m/6; their simple eigenvalues keep Lanczos away from the paired
-    Korobov spectrum.  ``dense``: everything else.
+    Korobov spectrum.  ``dense``: those kernels with count > m/6.
     """
-    m = len(grid)
     if spec.family == "korobov":
-        # the bare arrays: validating a QuadratureGrid costs 80 ms at m = 10^6
-        nodes, weights = _midpoint_rule(m)
-        if np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights):
-            return "circulant-fft"
-        return "dense"
-    return "lanczos" if count <= _LANCZOS_MAX_SHARE * m else "dense"
+        return "circulant-fft"
+    return "lanczos" if count <= _LANCZOS_MAX_SHARE * len(grid) else "dense"
 
 
 def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
@@ -106,15 +95,15 @@ def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
     K is even and 1-periodic, so the row is symmetric under j -> m - j up to
     rounding; the real part of its DFT holds the eigenvalues, and mirroring
     it pairs k with m - k exactly."""
-    m = len(grid)
-    half = np.fft.rfft(_kernel(spec, grid.nodes[0], grid.nodes)).real / m
+    m, nodes = len(grid), grid.nodes
+    half = np.fft.rfft(_kernel(spec, nodes[0], nodes)).real / m
     return np.concatenate([half, half[1:(m + 1) // 2]])
 
 
 def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
-    """The `count` largest eigenvalues of D K D, D = diag(sqrt(w)), by Lanczos
+    """The `count` largest eigenvalues of d K d, d = sqrt(1/m), by Lanczos
     with full reorthogonalization on a matrix-free product.  With K_ij =
-    u_min(i,j) v_max(i,j) and sorted nodes, (K z)_i = v_i sum_{j<=i} u_j z_j +
+    u_min(i,j) v_max(i,j) and increasing nodes, (K z)_i = v_i sum_{j<=i} u_j z_j +
     u_i sum_{j>i} v_j z_j.
 
     A Ritz value theta_i of the k-step tridiagonal T = S diag(theta) S^T lies
@@ -123,8 +112,8 @@ def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
     eps theta_max for all `count` top values, or at k = m, where the Krylov
     space is exhausted and the values are exact."""
     u, v = min_max_factors(spec)
-    d = np.sqrt(grid.weights)
-    du, dv = d * u(grid.nodes), d * v(grid.nodes)
+    d, nodes = math.sqrt(grid.weight), grid.nodes
+    du, dv = d * u(nodes), d * v(nodes)
 
     def matvec(z):
         head = np.cumsum(du * z)
@@ -202,12 +191,12 @@ def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> Ref
     The midpoint eigenvalue error is O(m^-2), so with the two finest sizes
     m1 < m2 the leading term cancels in
     lambda* = lambda(m2) + (lambda(m2) - lambda(m1)) / ((m2/m1)^2 - 1).
+    Only m1 and m2 are solved: count must not exceed m1, whatever the
+    sizes before it.
     """
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("need at least two strictly increasing grid sizes")
-    if count > sizes[0]:
-        raise ParameterError("count exceeds the coarsest grid size")
     coarse, fine = (nystrom_spectrum(spec, midpoint_grid(m), count).values for m in sizes[-2:])
     ratio = sizes[-1] / sizes[-2]
     extrap = fine + (fine - coarse) / (ratio ** 2 - 1.0)

@@ -52,6 +52,16 @@ def test_eigs_cosh_json(tmp_path):
     assert lams[1] == pytest.approx(0.091999668, abs=1e-9)
 
 
+def test_eigs_solves_each_root_once(monkeypatch, capsys):
+    calls = []
+    solve = tensortract.eigensolve.solve_cot_root
+    monkeypatch.setattr(tensortract.eigensolve, "solve_cot_root",
+                        lambda j: calls.append(j) or solve(j))
+    assert run(["eigs", "--family", "sobolev-min", "--count", "20", "--format", "json"]) == 0
+    assert sorted(calls) == list(range(1, 21))
+    assert json.loads(capsys.readouterr().out)["exact_decay"] == 2.0
+
+
 def test_oracle_eigs_small_grid(tmp_path):
     out = tmp_path / "oracle.csv"
     assert run(["oracle-eigs", "--family", "sobolev-min", "--count", "2",
@@ -80,6 +90,14 @@ def test_oracle_eigs_refine(tmp_path):
 def test_oracle_eigs_reports_its_solver(capsys, args, solver):
     assert run(["oracle-eigs", "--format", "json"] + args) == 0
     assert json.loads(capsys.readouterr().out)["solver"] == solver
+
+
+def test_oracle_eigs_refine_checks_count_against_the_solved_sizes(capsys):
+    # only 100 and 200 are solved, so --count 5 fits though 3 is listed first
+    assert run(["oracle-eigs", "--family", "sobolev-min", "--count", "5",
+                "--refine", "3,100,200", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 5
+    assert run(["oracle-eigs", "--count", "5", "--refine", "3,4,200"]) == 2
 
 
 def test_oracle_eigs_refine_reports_no_grid_size(capsys):

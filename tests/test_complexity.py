@@ -320,6 +320,11 @@ def test_goodcase_checker():
 _XS = np.linspace(0.0, 1.0, 1001)
 
 
+def _tol(vals):
+    # the check's tolerance: 1e-9 of max |eta| on the grid
+    return 1e-9 * np.max(np.abs(vals))
+
+
 def _sweep_deviations(xs, vals, ts):
     # the full oracle: one section model per candidate t, then its worst deviation
     models = vals[0] * (1.0 + np.minimum(xs[None, :], ts[:, None]))
@@ -328,7 +333,8 @@ def _sweep_deviations(xs, vals, ts):
 
 def _assert_check_matches_sweep(func):
     # the verdict of the sweep over every grid t; NaN deviations reject nothing
-    want = bool(np.all(_sweep_deviations(_XS, func(_XS), _XS) > 1e-9))
+    vals = func(_XS)
+    want = bool(np.all(_sweep_deviations(_XS, vals, _XS) > _tol(vals)))
     assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=func)) is want
     return want
 
@@ -347,7 +353,8 @@ def test_goodcase_scan_matches_sweep_on_kernel_sections(t):
     if t in _XS:
         assert _assert_check_matches_sweep(_section(t)) is False
     else:  # the sweep tries grid t only and misses the section
-        assert np.all(_sweep_deviations(_XS, _section(t)(_XS), _XS) > 1e-9)
+        vals = _section(t)(_XS)
+        assert np.all(_sweep_deviations(_XS, vals, _XS) > _tol(vals))
         assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t))) is False
 
 
@@ -355,6 +362,18 @@ def test_goodcase_scan_matches_sweep_on_kernel_sections(t):
 @pytest.mark.parametrize("a", [0.7, -1.3, 1e-3, 5.0])
 def test_goodcase_rejects_kernel_sections_between_grid_points(t, a):
     assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t, a))) is False
+
+
+_SCALES = [1e-12, 1e-9, 1.0, 1e6]
+
+
+@pytest.mark.parametrize("c", _SCALES)
+def test_goodcase_verdict_does_not_depend_on_scale(c):
+    eta1 = sobolev_min_eigenpair(1).func
+    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=lambda x: c * eta1(x)))
+    for t in (0.0, 0.25, 0.5, 1.0, 0.6135):   # the criterion-13 sections
+        scaled = Eigenpair(index=1, value=1.0, func=lambda x, t=t: c * _section(t)(x))
+        assert check_goodcase_sobolev_min(scaled) is False
 
 
 def test_goodcase_scan_matches_sweep_on_constant_and_nan():
@@ -367,22 +386,28 @@ def test_goodcase_scan_matches_sweep_on_constant_and_nan():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
-@example([1.0, 1e-9])   # within 1e-9 of the off-grid section at t = 1e-9 only
-@example([7e-9, 2e-9])  # 8.4e-10 from a grid section, 1.4e-9 from the forced one
-def test_goodcase_scan_matches_sweep_on_polynomials(coeffs):
+@given(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6), st.sampled_from(_SCALES))
+# tau = 1e-9 max |eta|: 0.999 tau from the off-grid forced section at t = 1e-9,
+# over tau from every grid section
+@example([1.0, 1e-9], 1.0)
+# 1.39 tau from the forced section at t = 5e-10, 0.89 tau from the grid section at t = 0
+@example([1.0, -4e-9, 4.5e-9], 1.0)
+@example([1.0, -4e-9, 4.5e-9], 1e-12)
+def test_goodcase_scan_matches_sweep_on_polynomials(coeffs, scale):
     # eta within delta of the section at t_j is within 2 delta of the forced one,
-    # as |a| |t - t_j| = |eta(1) - a (1 + t_j)| <= delta: so the check certifies
-    # only what the sweep certifies at half the tolerance, and it rejects only
-    # where the forced section lies within the tolerance
+    # as |a| |t - t_j| = |eta(1) - a (1 + t_j)| <= delta, and the tolerance tau
+    # depends on eta alone: so the check certifies only what the sweep
+    # certifies at tau / 2, and it rejects only where the forced section lies
+    # within tau
+    coeffs = [scale * c for c in coeffs]
     vals = np.polynomial.polynomial.polyval(_XS, coeffs)
     eta = Eigenpair(index=1, value=1.0, func=lambda x: np.polynomial.polynomial.polyval(x, coeffs))
     if check_goodcase_sobolev_min(eta):
-        assert np.all(_sweep_deviations(_XS, vals, _XS) > 0.5e-9)
+        assert np.all(_sweep_deviations(_XS, vals, _XS) > 0.5 * _tol(vals))
     else:
         with np.errstate(all="ignore"):
             forced = np.clip(vals[-1] / vals[0] - 1.0, 0.0, 1.0) if vals[0] else 0.0
-        assert not _sweep_deviations(_XS, vals, np.array([forced]))[0] > 1e-9
+        assert not _sweep_deviations(_XS, vals, np.array([forced]))[0] > _tol(vals)
 
 
 def test_goodcase_check_memory_is_linear_in_the_grid():

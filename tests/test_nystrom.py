@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from tensortract import (DomainError, KernelSpec, NumericError, ParameterError,
-                         QuadratureGrid, family_eigenvalues, midpoint_grid,
-                         nystrom_spectrum, richardson_refine)
+from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenvalues,
+                         midpoint_grid, nystrom_spectrum, richardson_refine)
 from tensortract import nystrom
 from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
 
@@ -16,22 +17,15 @@ KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)
 
 def test_midpoint_grid_shape():
     grid = midpoint_grid(8)
-    assert len(grid) == 8
-    assert grid.nodes[0] == pytest.approx(1 / 16)
-    assert abs(grid.weights.sum() - 1.0) < 1e-14
+    assert len(grid) == 8 and [f.name for f in dataclasses.fields(grid)] == ["m"]
+    assert grid.nodes.tolist() == [(i + 0.5) / 8 for i in range(8)]
+    assert grid.weight == 1 / 8
 
 
-def test_grid_validation():
+@pytest.mark.parametrize("m", [0, -3, 2.5, 4.0, "4", None])
+def test_midpoint_grid_size_is_a_positive_integer(m):
     with pytest.raises(ParameterError):
-        QuadratureGrid(np.array([0.5, 0.25]), np.array([0.5, 0.5]))   # not increasing
-    with pytest.raises(ParameterError):
-        QuadratureGrid(np.array([0.25, 0.75]), np.array([0.5, -0.5]))  # negative weight
-    with pytest.raises(ParameterError):
-        QuadratureGrid(np.array([0.25, 0.75]), np.array([0.5, 0.6]))   # sum != 1
-    with pytest.raises(DomainError):
-        QuadratureGrid(np.array([0.5, 1.5]), np.array([0.5, 0.5]))    # outside [0, 1]
-    with pytest.raises(DomainError):
-        QuadratureGrid(np.array([0.25, np.nan]), np.array([0.5, 0.5]))
+        midpoint_grid(m)
 
 
 def test_count_exceeds_grid():
@@ -92,6 +86,16 @@ def test_richardson_validation():
         richardson_refine(MIN, 1, [200, 100])
     with pytest.raises(ParameterError):
         richardson_refine(MIN, 50, [10, 20])
+    with pytest.raises(ParameterError):   # 5 exceeds the coarser solved size
+        richardson_refine(MIN, 5, [3, 4, 200])
+
+
+def test_richardson_checks_count_against_the_solved_sizes_only():
+    # only 100 and 200 are solved: the unsolved size 3 limits nothing
+    a = richardson_refine(MIN, 5, [3, 100, 200])
+    b = richardson_refine(MIN, 5, [100, 200])
+    assert a.eigensequence.values.tobytes() == b.eigensequence.values.tobytes()
+    assert a.error_estimates.tobytes() == b.error_estimates.tobytes()
 
 
 def test_oracle_on_brownian_min_matches_classical_spectrum():
@@ -120,23 +124,13 @@ ALL_FAMILIES = [MIN, COSH, KernelSpec("korobov", alpha=0.75, beta=0.5),
                 KernelSpec("brownian-min")]
 
 
-def _grid(kind, m):
-    if kind == "midpoint":
-        return midpoint_grid(m)
-    if kind == "endpoints":   # uniform nodes with 0 and 1, trapezoid weights
-        w = np.full(m, 1.0 / (m - 1))
-        w[[0, -1]] = 0.5 / (m - 1)
-        return QuadratureGrid(np.linspace(0.0, 1.0, m), w)
-    rng = np.random.default_rng(m)
-    w = rng.uniform(0.1, 1.0, m)
-    return QuadratureGrid(np.sort(rng.uniform(0.0, 1.0, m)), w / w.sum())
+SIZES = [2, 3, 7, 64, 500]
 
 
-@pytest.mark.parametrize("kind", ["midpoint", "endpoints", "random"])
-@pytest.mark.parametrize("m", [2, 3, 7, 64, 500])
+@pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
-def test_every_solver_matches_dense_eigvalsh(spec, m, kind):
-    grid = _grid(kind, m)
+def test_every_solver_matches_dense_eigvalsh(spec, m):
+    grid = midpoint_grid(m)
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
     for count in sorted({1, 5, m // 6, m - 2, m - 1, m} & set(range(1, m + 1))):
         got = nystrom_spectrum(spec, grid, count).values
@@ -145,16 +139,27 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, kind):
 
 
 def test_solver_choice():
-    grid = midpoint_grid(100)
-    assert nystrom_solver(KOR, grid, 100) == "circulant-fft"
-    assert nystrom_solver(KOR, _grid("random", 100), 5) == "dense"
-    w = np.linspace(1.0, 2.0, 100)
-    assert nystrom_solver(KOR, QuadratureGrid(grid.nodes, w / w.sum()), 5) == "dense"
-    for spec in ALL_FAMILIES:
-        if spec.family != "korobov":
-            assert nystrom_solver(spec, grid, 16) == "lanczos"
-            assert nystrom_solver(spec, grid, 17) == "dense"
-            assert nystrom_solver(spec, _grid("random", 100), 5) == "lanczos"
+    # the largest count Lanczos takes on each grid: m/6 rounded down
+    last_lanczos = {2: 0, 3: 0, 7: 1, 64: 10, 100: 16, 500: 83}
+    for m, last in last_lanczos.items():
+        grid = midpoint_grid(m)
+        for spec in ALL_FAMILIES:
+            for count in range(1, m + 1):
+                if spec.family == "korobov":
+                    want = "circulant-fft"
+                else:
+                    want = "lanczos" if count <= last else "dense"
+                assert nystrom_solver(spec, grid, count) == want, (spec.label(), m, count)
+
+
+@pytest.mark.parametrize("m", SIZES + [10 ** 6])
+def test_korobov_is_circulant_fft_at_every_count(m):
+    grid = midpoint_grid(m)
+    full = nystrom_spectrum(KOR, grid, m).values
+    for count in sorted({1, 2, 5, m // 6, m - 1, m} & set(range(1, m + 1))):
+        assert nystrom_solver(KOR, grid, count) == "circulant-fft"
+        # one FFT gives all m eigenvalues: each count reads a prefix of them
+        assert nystrom_spectrum(KOR, grid, count).values.tobytes() == full[:count].tobytes()
 
 
 @pytest.mark.parametrize("spec, m", [(COSH, 2000), (KOR, 2000), (MIN, 20)])
@@ -213,18 +218,15 @@ def test_lanczos_breakdown_is_a_numeric_error(monkeypatch):
 @st.composite
 def _lanczos_inputs(draw):
     m = draw(st.integers(6, 200))
-    gaps = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m + 1, max_size=m + 1)))
-    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
-    grid = QuadratureGrid(np.cumsum(gaps)[:-1] / gaps.sum(), w / w.sum())
     spec = draw(st.one_of(st.sampled_from([MIN, COSH, KernelSpec("brownian-min")]),
                           st.builds(lambda a: KernelSpec("sobolev-distance", a=a),
                                     st.floats(0.0, 1.0))))
-    return spec, grid, draw(st.integers(1, m // 6))
+    return spec, midpoint_grid(m), draw(st.integers(1, m // 6))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_lanczos_inputs())
-def test_lanczos_matches_dense_eigvalsh_on_random_grids(inputs):
+def test_lanczos_matches_dense_eigvalsh_at_drawn_sizes(inputs):
     spec, grid, count = inputs
     assert nystrom_solver(spec, grid, count) == "lanczos"
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
