@@ -127,12 +127,28 @@ ALL_FAMILIES = [MIN, COSH, KernelSpec("korobov", alpha=0.75, beta=0.5),
 SIZES = [2, 3, 7, 64, 500]
 
 
+def _counts(choice, m):
+    """Counts to solve for on a grid of size m.  ``endpoints``: the two at each
+    end of 1..m and the two either side of the Lanczos/dense switch at m // 6;
+    ``midpoint``: the middle of the Lanczos range and of the dense range;
+    ``random``: five drawn uniformly from 1..m."""
+    last = m // 6   # the largest count Lanczos takes
+    if choice == "endpoints":
+        counts = {1, 2, last, last + 1, m - 1, m}
+    elif choice == "midpoint":
+        counts = {(1 + last) // 2, (last + 1 + m) // 2}
+    else:
+        counts = set(np.random.default_rng(m).integers(1, m + 1, 5).tolist())
+    return sorted(counts & set(range(1, m + 1)))
+
+
+@pytest.mark.parametrize("choice", ["midpoint", "endpoints", "random"])
 @pytest.mark.parametrize("m", SIZES)
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.label())
-def test_every_solver_matches_dense_eigvalsh(spec, m):
+def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
     grid = midpoint_grid(m)
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
-    for count in sorted({1, 5, m // 6, m - 2, m - 1, m} & set(range(1, m + 1))):
+    for count in _counts(choice, m):
         got = nystrom_spectrum(spec, grid, count).values
         err = np.max(np.abs(got - np.maximum(dense[:count], 0.0)))
         assert err <= 1e-12 * dense[0], (count, nystrom_solver(spec, grid, count), err)
