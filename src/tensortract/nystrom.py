@@ -15,6 +15,11 @@ count alone (see `nystrom_solver`):
     the four u(min) v(max) kernels   count > m/6    dense eigvalsh
 
 Dense `eigvalsh` is also the oracle the other two are tested against.
+Lanczos stops once each of the `count` top Ritz values has an error bound
+of at most eps theta_max: r^2 / delta (Kato-Temple), with r the residual
+bound and delta the gap to the neighbouring Ritz values less their own r,
+or r itself where delta <= r.  It checks after 2 count + 5 steps and then
+every 5 steps.
 """
 
 from __future__ import annotations
@@ -30,14 +35,15 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_factors
 
-# Lanczos keeps a (2 count + 10) x m basis and orthogonalizes every step
-# against it twice, so past count = m/6 dense eigvalsh can win (sobolev-cosh,
-# 2-core Xeon, one BLAS thread, Lanczos against dense: at m/6 12-16 against
-# 22-27 ms at m = 500, 96-100 against 139-167 ms at m = 1000, 761-814
-# against 907-990 ms at m = 2000; at m/5 Lanczos takes 1127-1190 ms at
-# m = 2000).
+# Lanczos keeps a basis of about 2 count + 5 rows and orthogonalizes every
+# step against it twice, so past count = m/6 dense eigvalsh can win
+# (sobolev-cosh, 2-core Xeon, one BLAS thread, Lanczos against dense, ranges
+# of 7 runs, 3 at m = 2000: at m/6 10-12 against 16-20 ms at m = 500, 75-84
+# against 121-132 ms at m = 1000, 715-743 against 768-826 ms at m = 2000; at
+# m/5 Lanczos still wins at m = 500 and ties at 1000 but takes 1046-1136 ms
+# at m = 2000).
 _LANCZOS_MAX_SHARE = 1 / 6
-_LANCZOS_STEP = 20        # basis rows added per extension
+_LANCZOS_CHECK = 5        # steps between Lanczos convergence checks, the first after 2 count + 5
 _LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
 
 
@@ -69,12 +75,10 @@ midpoint_grid = QuadratureGrid   # the constructor every caller uses
 
 
 def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """d G d with the scalar d = sqrt(1/m): exactly symmetric, as the Gram
+    matrix G is."""
     d = math.sqrt(grid.weight)
-    M = d * gram_matrix(spec, grid.nodes) * d
-    asym = np.max(np.abs(M - M.T))
-    if asym > 1e-15 * max(1.0, np.max(np.abs(M))):
-        raise NumericError(f"weighted kernel matrix asymmetric by {asym:g}")
-    return M
+    return d * gram_matrix(spec, grid.nodes) * d
 
 
 def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
@@ -100,56 +104,78 @@ def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
     return np.concatenate([half, half[1:(m + 1) // 2]])
 
 
+def _min_max_matvec(gather, weights, z, out):
+    """out = d K d z for K_ij = u_min(i,j) v_max(i,j) on increasing nodes,
+    (K z)_i = v_i sum_{j<=i} u_j z_j + u_i sum_{j>i} v_j z_j.
+
+    Row 0 of weights[0] * z[gather] holds d u_i z_i and row 1 holds d v_j z_j
+    from j = m - 1 down to 1 after a zero, so one cumsum gives the head sums
+    and, read backwards, the tail sums; weights[1] then applies d v_i and
+    d u_i, the latter reversed to match."""
+    sums = weights[0] * z[gather]
+    np.cumsum(sums, axis=1, out=sums)
+    sums *= weights[1]
+    np.add(sums[0], sums[1, ::-1], out=out)
+
+
 def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
     """The `count` largest eigenvalues of d K d, d = sqrt(1/m), by Lanczos
-    with full reorthogonalization on a matrix-free product.  With K_ij =
-    u_min(i,j) v_max(i,j) and increasing nodes, (K z)_i = v_i sum_{j<=i} u_j z_j +
-    u_i sum_{j>i} v_j z_j.
+    with full reorthogonalization on the matrix-free `_min_max_matvec`.
 
     A Ritz value theta_i of the k-step tridiagonal T = S diag(theta) S^T lies
-    within beta_k |S[-1, i]| of an eigenvalue (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 13); the iteration stops once that bound is below
-    eps theta_max for all `count` top values, or at k = m, where the Krylov
-    space is exhausted and the values are exact."""
+    within r_i = beta_k |S[-1, i]| of an eigenvalue, and within r_i^2 / delta_i
+    if no other eigenvalue lies within delta_i of theta_i (Kato-Temple;
+    Parlett, The Symmetric Eigenvalue Problem, 10.2 and ch. 13).  delta_i is
+    estimated as the distance to the neighbouring Ritz values less their own
+    r; where that is <= r_i the bound stays r_i.  The iteration stops once
+    the bound is at most eps theta_max for all `count` top values, checked
+    after 2 count + 5 steps and then every `_LANCZOS_CHECK` steps, or at
+    k = m, where the Krylov space is exhausted and the values are exact."""
     u, v = min_max_factors(spec)
-    d, nodes = math.sqrt(grid.weight), grid.nodes
-    du, dv = d * u(nodes), d * v(nodes)
+    m, nodes = len(grid), grid.nodes
+    du, dv = (np.full(m, math.sqrt(grid.weight)) * f(nodes) for f in (u, v))
+    gather = np.arange(m) * np.array([[1], [-1]]) % m   # rows i and (m - i) mod m
+    weights = np.array([[du, dv[gather[1]]], [dv, du[::-1]]])
+    weights[0, 1, 0] = 0.0
 
-    def matvec(z):
-        head = np.cumsum(du * z)
-        tail = np.append(np.cumsum((dv * z)[:0:-1])[::-1], 0.0)
-        return dv * head + du * tail
-
-    m = len(grid)
     eps = np.finfo(float).eps
+    first = 2 * count + _LANCZOS_CHECK   # steps before the first check
     # fixed, so the output is reproducible, and not reflection-symmetric: on the
     # midpoint grid ones is orthogonal to every odd eigenvector at anchor a = 0.5
     start = np.cos(np.arange(m)) + 0.5
-    basis = np.empty((min(m, 2 * count + 10), m))
-    basis[0] = start / np.linalg.norm(start)
+    basis = np.empty((min(m, first) + 1, m))   # step k writes row k + 1
+    basis[0] = start / math.sqrt(start @ start)
     alpha, beta = np.zeros(m), np.zeros(m)
     k = 0   # Lanczos steps taken
     while True:
-        w = matvec(basis[k])
-        scale = np.linalg.norm(w)
-        q = basis[:k + 1]
-        for _ in range(2):   # classical Gram-Schmidt twice
-            h = q @ w
-            w -= h @ q
-            alpha[k] += h[k]
-        beta[k] = np.linalg.norm(w)
+        if k + 1 == len(basis):   # full: double it
+            basis = np.concatenate([basis, np.empty((min(m + 1, 2 * len(basis)) - len(basis), m))])
+        q, w = basis[:k + 1], basis[k + 1]
+        _min_max_matvec(gather, weights, basis[k], w)
+        h = q @ w   # classical Gram-Schmidt twice
+        w -= h @ q
+        scale = math.sqrt(h @ h)   # |K q_k| up to beta_k
+        alpha[k] = h[k]
+        h = q @ w
+        w -= h @ q
+        alpha[k] += h[k]
+        beta[k] = math.sqrt(w @ w)
         k += 1
-        if k == len(basis):
-            off = beta[:k - 1]
-            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
-            if k == m or np.all(beta[k - 1] * np.abs(s[-1, -count:]) <= eps * theta[-1]):
+        if k == m or (k >= first and (k - first) % _LANCZOS_CHECK == 0):
+            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[:k - 1], -1), UPLO="L")
+            r = beta[k - 1] * np.abs(s[-1])
+            gaps = np.diff(theta)
+            delta = np.full(k, np.inf)
+            delta[1:] = gaps - r[:-1]
+            delta[:-1] = np.minimum(delta[:-1], gaps - r[1:])
+            bound = np.divide(r * r, delta, out=r, where=delta > r)
+            if k == m or np.all(bound[-count:] <= eps * theta[-1]):
                 return theta[-count:]
             if k >= _LANCZOS_MAX_STEPS * count:
                 raise NumericError(f"Lanczos did not converge in {k} steps")
-            basis = np.concatenate([basis, np.empty((min(m, k + _LANCZOS_STEP) - k, m))])
         if beta[k - 1] <= eps * scale:
             raise NumericError(f"Lanczos broke down after {k} of {m} steps")
-        basis[k] = w / beta[k - 1]
+        w /= beta[k - 1]
 
 
 def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> EigenSequence:
@@ -194,7 +220,9 @@ def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> Ref
     Only m1 and m2 are solved: count must not exceed m1, whatever the
     sizes before it.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    if not all(isinstance(s, numbers.Integral) for s in sizes):
+        raise ParameterError(f"grid sizes must be integers, got {sizes!r}")
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("need at least two strictly increasing grid sizes")
     coarse, fine = (nystrom_spectrum(spec, midpoint_grid(m), count).values for m in sizes[-2:])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenvalues,
                          midpoint_grid, nystrom_spectrum, richardson_refine)
@@ -34,9 +34,13 @@ def test_count_exceeds_grid():
 
 
 def test_weighted_matrix_exactly_symmetric():
-    for spec in (MIN, COSH, KOR):
-        M = weighted_kernel_matrix(spec, midpoint_grid(64))
-        assert np.max(np.abs(M - M.T)) == 0.0
+    # the dense solver relies on this without checking it
+    specs = [MIN, COSH, KOR, KernelSpec("korobov", alpha=0.75, beta=0.5), KernelSpec("brownian-min")]
+    specs += [KernelSpec("sobolev-distance", a=a) for a in (0.0, 0.3, 0.5, 1.0)]
+    for spec in specs:
+        for m in (1, 7, 64, 501):
+            M = weighted_kernel_matrix(spec, midpoint_grid(m))
+            assert M.shape == (m, m) and np.array_equal(M, M.T), (spec.label(), m)
 
 
 @pytest.mark.parametrize("spec, count", [(MIN, 5), (COSH, 5), (KOR, 5)])
@@ -88,6 +92,18 @@ def test_richardson_validation():
         richardson_refine(MIN, 50, [10, 20])
     with pytest.raises(ParameterError):   # 5 exceeds the coarser solved size
         richardson_refine(MIN, 5, [3, 4, 200])
+
+
+@pytest.mark.parametrize("sizes", [[100.7, 200.9], [100, 200.0], [3.5, 100, 200], ["100", "200"]])
+def test_richardson_sizes_are_integers(sizes):
+    with pytest.raises(ParameterError, match="grid sizes must be integers"):
+        richardson_refine(MIN, 1, sizes)
+
+
+def test_richardson_takes_numpy_integer_sizes():
+    a = richardson_refine(MIN, 2, np.array([100, 200]))
+    b = richardson_refine(MIN, 2, [100, 200])
+    assert a.eigensequence.values.tobytes() == b.eigensequence.values.tobytes()
 
 
 def test_richardson_checks_count_against_the_solved_sizes_only():
@@ -220,8 +236,71 @@ def test_lanczos_extends_its_basis_until_converged(monkeypatch):
 def test_lanczos_step_cap_is_a_numeric_error(monkeypatch):
     _ornstein_uhlenbeck(monkeypatch, 100 * np.log(2.0))
     monkeypatch.setattr(nystrom, "_LANCZOS_MAX_STEPS", 1)
-    with pytest.raises(NumericError, match="did not converge in 20 steps"):
+    with pytest.raises(NumericError, match="did not converge in 15 steps"):
         nystrom_spectrum(MIN, midpoint_grid(100), 5)
+
+
+LANCZOS_FAMILIES = [MIN, COSH, KernelSpec("sobolev-distance", a=0.0), KernelSpec("brownian-min")]
+
+
+def _count_steps(monkeypatch):
+    """A list that grows by one item per Lanczos step: each step multiplies once."""
+    steps = []
+    matvec = nystrom._min_max_matvec
+
+    def counted(*args):
+        steps.append(None)
+        return matvec(*args)
+    monkeypatch.setattr(nystrom, "_min_max_matvec", counted)
+    return steps
+
+
+@pytest.mark.parametrize("m", [6, 7, 64, 501])
+@pytest.mark.parametrize("spec", LANCZOS_FAMILIES + [KernelSpec("sobolev-distance", a=0.3)],
+                         ids=lambda s: s.label())
+def test_min_max_matvec_matches_the_dense_product(monkeypatch, spec, m):
+    grid = midpoint_grid(m)
+    _check_products(monkeypatch, spec, grid, weighted_kernel_matrix(spec, grid))
+
+
+def test_min_max_matvec_sums_tails_backwards(monkeypatch):
+    # with u = e^(ct), v = e^(-ct) a tail sum taken as total - prefix loses
+    # every digit; summed backwards from the last node it keeps them
+    m, c = 100, 100 * np.log(2.0)
+    _ornstein_uhlenbeck(monkeypatch, c)
+    x = midpoint_grid(m).nodes
+    _check_products(monkeypatch, MIN, midpoint_grid(m), np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)
+
+
+def _check_products(monkeypatch, spec, grid, M):
+    """Every product a Lanczos solve forms must be M z to rounding."""
+    products = []
+    matvec = nystrom._min_max_matvec
+
+    def recorded(gather, weights, z, out):
+        matvec(gather, weights, z, out)
+        products.append((z.copy(), out.copy()))
+    monkeypatch.setattr(nystrom, "_min_max_matvec", recorded)
+    nystrom_spectrum(spec, grid, max(1, len(grid) // 6))
+    assert products
+    for z, out in products:
+        assert np.max(np.abs(out - M @ z)) <= 1e-14 * np.max(np.abs(M)) * np.sum(np.abs(z))
+
+
+@pytest.mark.parametrize("m", [500, 1000, 2000])
+@pytest.mark.parametrize("spec", LANCZOS_FAMILIES, ids=lambda s: s.label())
+def test_lanczos_stops_at_its_first_check(monkeypatch, spec, m):
+    # the gap bound r^2 / delta is met at the first check, after 2 count + 5
+    # steps; the residual bound r alone needed 19-20 steps for count 5
+    steps = _count_steps(monkeypatch)
+    grid = midpoint_grid(m)
+    for count, most in ((1, 7), (5, 15)):
+        steps.clear()
+        got = nystrom_spectrum(spec, grid, count).values
+        assert len(steps) <= most, (count, len(steps))
+        if m == 500:
+            dense = np.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+            assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
 
 
 def test_lanczos_breakdown_is_a_numeric_error(monkeypatch):
@@ -247,4 +326,32 @@ def test_lanczos_matches_dense_eigvalsh_at_drawn_sizes(inputs):
     assert nystrom_solver(spec, grid, count) == "lanczos"
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
     got = nystrom_spectrum(spec, grid, count).values
+    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+@st.composite
+def _clustered_inputs(draw):
+    m = draw(st.integers(6, 200))
+    return m, draw(st.floats(1.0, m * np.log(2.0))), draw(st.integers(1, m // 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clustered_inputs())
+@example((129, 89.0, 1))   # needs 57 steps: refused by the cap of 50 count
+def test_lanczos_matches_dense_eigvalsh_on_clustered_spectra(inputs):
+    # exp(-c |x - y|): as c grows the top eigenvalues crowd together, and the
+    # gap each Ritz value sees to its neighbours shrinks
+    m, c, count = inputs
+    x = midpoint_grid(m).nodes
+    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _ornstein_uhlenbeck(monkeypatch, c)
+        try:
+            got = nystrom_spectrum(MIN, midpoint_grid(m), count).values
+        except NumericError as exc:
+            # the step cap may refuse a crowded count-1 solve, but loudly: an
+            # answer that is given must be right
+            assert str(exc).startswith("Lanczos did not converge in ")
+            assert int(str(exc).split()[-2]) >= nystrom._LANCZOS_MAX_STEPS * count
+            return
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
