@@ -154,7 +154,7 @@ def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
         _min_max_matvec(gather, weights, basis[k], w)
         h = q @ w   # classical Gram-Schmidt twice
         w -= h @ q
-        scale = math.sqrt(h @ h)   # |K q_k| up to beta_k
+        scale = math.sqrt(h @ h)   # the breakdown scale: |K q_k| less beta_k
         alpha[k] = h[k]
         h = q @ w
         w -= h @ q

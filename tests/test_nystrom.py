@@ -243,16 +243,16 @@ def test_lanczos_step_cap_is_a_numeric_error(monkeypatch):
 LANCZOS_FAMILIES = [MIN, COSH, KernelSpec("sobolev-distance", a=0.0), KernelSpec("brownian-min")]
 
 
-def _count_steps(monkeypatch):
-    """A list that grows by one item per Lanczos step: each step multiplies once."""
-    steps = []
+def _record_products(monkeypatch):
+    """The (z, K z) pairs of the solves that follow: one per Lanczos step."""
+    products = []
     matvec = nystrom._min_max_matvec
 
-    def counted(*args):
-        steps.append(None)
-        return matvec(*args)
-    monkeypatch.setattr(nystrom, "_min_max_matvec", counted)
-    return steps
+    def recorded(gather, weights, z, out):
+        matvec(gather, weights, z, out)
+        products.append((z.copy(), out.copy()))
+    monkeypatch.setattr(nystrom, "_min_max_matvec", recorded)
+    return products
 
 
 @pytest.mark.parametrize("m", [6, 7, 64, 501])
@@ -274,13 +274,7 @@ def test_min_max_matvec_sums_tails_backwards(monkeypatch):
 
 def _check_products(monkeypatch, spec, grid, M):
     """Every product a Lanczos solve forms must be M z to rounding."""
-    products = []
-    matvec = nystrom._min_max_matvec
-
-    def recorded(gather, weights, z, out):
-        matvec(gather, weights, z, out)
-        products.append((z.copy(), out.copy()))
-    monkeypatch.setattr(nystrom, "_min_max_matvec", recorded)
+    products = _record_products(monkeypatch)
     nystrom_spectrum(spec, grid, max(1, len(grid) // 6))
     assert products
     for z, out in products:
@@ -291,8 +285,8 @@ def _check_products(monkeypatch, spec, grid, M):
 @pytest.mark.parametrize("spec", LANCZOS_FAMILIES, ids=lambda s: s.label())
 def test_lanczos_stops_at_its_first_check(monkeypatch, spec, m):
     # the gap bound r^2 / delta is met at the first check, after 2 count + 5
-    # steps; the residual bound r alone needed 19-20 steps for count 5
-    steps = _count_steps(monkeypatch)
+    # steps; the residual bound r alone is not met there
+    steps = _record_products(monkeypatch)
     grid = midpoint_grid(m)
     for count, most in ((1, 7), (5, 15)):
         steps.clear()
