@@ -19,12 +19,11 @@ from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import (QuadratureGrid, RefinedSpectrum, midpoint_grid,
                       nystrom_solver, nystrom_spectrum, richardson_refine)
-from .reduction import (DiscreteProblem, Functional, build_Ig, e0_functional,
-                        subcube_indicator_functional, piecewise_constant_instance,
-                        cube_mean_functional, fixed_info_radius,
-                        load_problem, minimal_error_std, random_problem,
-                        random_problem_with_multiplicity, save_problem,
-                        top_eigenpair, verify_domination,
+from .reduction import (DiscreteProblem, Functional, build_Ig,
+                        cube_mean_functional, fixed_info_radius, load_problem,
+                        minimal_error_std, piecewise_constant_instance,
+                        random_problem, random_problem_with_multiplicity,
+                        save_problem, top_eigenpair, verify_domination,
                         verify_e0_characterization)
 from .spectra import (REL_TIE, Eigenpair, EigenSequence, KernelSpec,
                       gram_matrix, kernel_eval)

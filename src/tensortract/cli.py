@@ -5,8 +5,8 @@ reproduce.  Numbers are serialized with 17 significant digits so emitted
 tables round-trip exactly; identical configurations produce byte-identical
 output files, except for the wall times in the ``seconds`` column of the
 ``reproduce`` report.  Exit codes: 0 success, 1 numeric failure (an internal
-consistency check fired), 2 invalid arguments, 3 resource guard or
-out of memory, 4 acceptance/verification failure.
+consistency check fired), 2 invalid arguments or an unreadable or unwritable
+path, 3 resource guard or out of memory, 4 acceptance/verification failure.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ def cmd_complexity(args) -> int:
             result = count_info_complexity_all(family_eigenvalues(spec, count), query)
             break
         except TruncationError as exc:
-            if exc.required > _MAX_EIGENVALUES:
+            count *= 2
+            if count > _MAX_EIGENVALUES:
                 raise ResourceLimitError("eps requires more than 2^21 univariate "
                                          "eigenvalues") from exc
-            count = exc.required
     header = ["family", "d", "eps", "info_class", "count", "saturated",
               "lower_bound_only", "truncation_index", "tie_tolerance", "method"]
     row = [spec.label(), args.d, args.eps, args.info_class, result.count,
@@ -239,8 +239,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
-    if args.max_n < 0 or args.m_max < 2 or args.k_max < 1:
-        raise ParameterError("need --max-n >= 0, --m-max >= 2 and --k-max >= 1")
+    if args.seed < 0 or args.max_n < 0 or args.m_max < 2 or args.k_max < 1:
+        raise ParameterError("need --seed >= 0, --max-n >= 0, --m-max >= 2 and --k-max >= 1")
     if args.problems < 1 or args.trials < 1 or args.samples < 1:
         raise ParameterError("need --problems, --trials and --samples >= 1")
     rng = np.random.default_rng(args.seed)
@@ -389,11 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> list[str]:
     """Flat key=value lines become '--key value' argument pairs."""
     extra: list[str] = []
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ParameterError(f"cannot read config file: {exc}") from exc
-    with fh:
+    with open(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -431,7 +427,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_merge_config(argv))
         return args.func(args)
-    except (ParameterError, DomainError) as exc:
+    except (ParameterError, DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, TruncationError) as exc:

@@ -92,15 +92,15 @@ def _effective_budget(eps: float) -> float:
 
 def _participating_weights(eigs: EigenSequence, budget: float) -> np.ndarray:
     """Log weights w_j = ln(lambda_1 / lambda_j) of the indices that can occur
-    in a counted tuple (those with w_j < budget)."""
+    in a counted tuple (those with w_j < budget).  A trailing 0 has w = inf
+    and ends the list."""
     lam = eigs.values
     with np.errstate(divide="ignore"):
         w = np.log(lam[0]) - np.log(lam)
-    if not eigs.is_exhaustive and w[-1] < budget:
+    if w[-1] < budget:
         raise TruncationError(
             "univariate eigenvalue list too short: its tail can still "
-            "contribute counted tuples; supply more eigenvalues",
-            required=2 * len(eigs))
+            "contribute counted tuples; supply more eigenvalues")
     trunc = int(np.searchsorted(w, budget, side="left"))
     return w[:trunc]
 
@@ -173,9 +173,8 @@ def brute_force_count(eigs: EigenSequence, query: ComplexityQuery) -> Complexity
     lam = eigs.values
     threshold = query.eps ** 2 * lam[0] ** query.d * (1.0 + _TIE)
     cutoff = lam[0] * query.eps ** 2 * (1.0 + _TIE)
-    if not eigs.is_exhaustive and lam[-1] > cutoff:
-        raise TruncationError("univariate eigenvalue list too short for brute force",
-                              required=2 * len(eigs))
+    if lam[-1] > cutoff:
+        raise TruncationError("univariate eigenvalue list too short for brute force")
     part = lam[lam > cutoff]
     L = len(part)
     if L ** query.d > _BRUTE_MAX_TUPLES:
@@ -296,7 +295,8 @@ def classify(lambda1: float, lambda2: float, decay: float,
 
 def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     """n-th minimal error for arbitrary linear information: the square root
-    of the (n+1)-th largest product eigenvalue.  n = 0 gives lambda_1^(d/2).
+    of the (n+1)-th largest product eigenvalue.  n = 0 gives lambda_1^(d/2),
+    and past the last positive product of a list that ends in 0 it is 0.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
@@ -346,16 +346,13 @@ def en_all(eigs: EigenSequence, d: int, n: int) -> float:
                 heapq.heappush(heap, (s + w[j + 1] - w[j], child))
 
     if value is None:
-        if eigs.is_exhaustive:
-            return 0.0  # formally lambda_{n+1} = 0 beyond the finite spectrum
         raise TruncationError("eigenvalue list exhausted before rank n+1; "
-                              "supply more eigenvalues", required=2 * L)
+                              "supply more eigenvalues")
     if value == 0.0:
         return 0.0
-    if not eigs.is_exhaustive and value <= lam[-1] * lam[0] ** (d - 1):
+    if value <= lam[-1] * lam[0] ** (d - 1):
         raise TruncationError("rank n+1 not resolvable at this truncation: "
-                              "unseen eigenvalues could still displace it",
-                              required=2 * L)
+                              "unseen eigenvalues could still displace it")
     return math.sqrt(value)
 
 

@@ -70,11 +70,7 @@ def sobolev_min_eigenpair(j: int) -> Eigenpair:
     def eta(x, a=a, b=b):
         return b * np.cos(a * np.asarray(x, dtype=float) - a)
 
-    def deta(x, a=a, b=b):
-        return -b * a * np.sin(a * np.asarray(x, dtype=float) - a)
-
-    return Eigenpair(index=j, value=a ** -2, params={"alpha": a, "beta": b},
-                     func=eta, dfunc=deta)
+    return Eigenpair(index=j, value=a ** -2, params={"alpha": a, "beta": b}, func=eta)
 
 
 def sobolev_min_eigenvalues(count: int) -> EigenSequence:
@@ -99,11 +95,7 @@ def sobolev_cosh_eigenpair(j: int) -> Eigenpair:
     def eta(x, f=freq, b=b):
         return b * np.cos(f * np.asarray(x, dtype=float))
 
-    def deta(x, f=freq, b=b):
-        return -b * f * np.sin(f * np.asarray(x, dtype=float))
-
-    return Eigenpair(index=j, value=lam, params={"alpha": freq, "beta": b},
-                     func=eta, dfunc=deta)
+    return Eigenpair(index=j, value=lam, params={"alpha": freq, "beta": b}, func=eta)
 
 
 def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
@@ -130,20 +122,14 @@ def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
 def _korobov_eigenpair(alpha: float, beta: float, j: int) -> Eigenpair:
     if j == 1:
         return Eigenpair(index=1, value=1.0, params={"harmonic": 0.0},
-                         func=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         dfunc=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+                         func=lambda x: np.ones_like(np.asarray(x, dtype=float)))
     k = j // 2
     lam = beta * k ** (-2.0 * alpha)
     scale = math.sqrt(2.0 * beta) * k ** (-alpha)
     w = 2.0 * math.pi * k
-    if j % 2 == 0:
-        func = lambda x, w=w, s=scale: s * np.cos(w * np.asarray(x, dtype=float))
-        dfunc = lambda x, w=w, s=scale: -s * w * np.sin(w * np.asarray(x, dtype=float))
-    else:
-        func = lambda x, w=w, s=scale: s * np.sin(w * np.asarray(x, dtype=float))
-        dfunc = lambda x, w=w, s=scale: s * w * np.cos(w * np.asarray(x, dtype=float))
+    wave = np.cos if j % 2 == 0 else np.sin
     return Eigenpair(index=j, value=lam, params={"harmonic": float(k)},
-                     func=func, dfunc=dfunc)
+                     func=lambda x: scale * wave(w * np.asarray(x, dtype=float)))
 
 
 def family_eigenvalues(spec: KernelSpec, count: int) -> EigenSequence:

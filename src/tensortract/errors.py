@@ -14,11 +14,8 @@ class ResourceLimitError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """The supplied eigenvalue list is too short to resolve the query."""
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
+    """The supplied eigenvalue list is too short to resolve the query: it
+    does not end in 0, and its unseen tail could still change the answer."""
 
 
 class NumericError(RuntimeError):

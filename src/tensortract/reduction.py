@@ -91,7 +91,6 @@ class Functional:
     """I_g f = <f, S*g>_F for a unit-norm g, held via its F-representer."""
 
     representer: np.ndarray
-    g_coords: np.ndarray
 
 
 def _operator_quadratic_form(problem: DiscreteProblem) -> np.ndarray:
@@ -134,13 +133,13 @@ def _eigenspace(problem: DiscreteProblem) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def build_Ig(problem: DiscreteProblem, g_coords: np.ndarray) -> Functional:
+def build_Ig(problem: DiscreteProblem, g: np.ndarray) -> Functional:
     """The linear functional I_g f = <f, S*g>_F = <Sf, g>_G for unit g.
 
     g within 1e-6 of unit G-norm is renormalized; anything farther is
     rejected.  The representer solves gram_F r = S' gram_G g.
     """
-    g = np.asarray(g_coords, dtype=float).reshape(-1)
+    g = np.asarray(g, dtype=float).reshape(-1)
     if g.shape != (problem.k,):
         raise ParameterError(f"g must have {problem.k} coordinates")
     nrm = math.sqrt(float(g @ problem.gram_G @ g))
@@ -148,13 +147,7 @@ def build_Ig(problem: DiscreteProblem, g_coords: np.ndarray) -> Functional:
         raise ParameterError(f"g must have unit G-norm, got {nrm!r}")
     g = g / nrm
     r = np.linalg.solve(problem.gram_F, problem.operator_S.T @ (problem.gram_G @ g))
-    return Functional(representer=r, g_coords=g)
-
-
-def e0_functional(problem: DiscreteProblem, functional: Functional) -> float:
-    """Initial error of I_g: the F-norm of its representer S*g."""
-    r = functional.representer
-    return math.sqrt(max(float(r @ problem.gram_F @ r), 0.0))
+    return Functional(representer=r)
 
 
 def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -> float:
@@ -261,7 +254,7 @@ class DominationReport:
     passed: bool
 
 
-def verify_domination(problem: DiscreteProblem, g_coords: np.ndarray, n: int,
+def verify_domination(problem: DiscreteProblem, g: np.ndarray, n: int,
                       trials: int, seed: int = 0) -> DominationReport:
     """Check that the functional I_g is never harder than S at level n.
 
@@ -271,7 +264,8 @@ def verify_domination(problem: DiscreteProblem, g_coords: np.ndarray, n: int,
     B_n f = sum f(t_j) <f_j, S*g>_F satisfies
     |I_g f - B_n f| <= ||Sf - A_n f||_G + 1e-12.
     """
-    func = build_Ig(problem, g_coords)
+    n = min(n, problem.m)  # at most m distinct sample points, as in minimal_error_std
+    func = build_Ig(problem, g)
     e_func, _ = minimal_error_std(problem, func, n)
     e_op, _ = minimal_error_std(problem, "operator", n)
     counterexample = None
@@ -450,14 +444,6 @@ def cube_mean_functional(problem: DiscreteProblem) -> Functional:
     """I_g for g identically one: the mean of f over the unit cube."""
     m = problem.m
     return build_Ig(problem, np.full(m, 1.0 / m))
-
-
-def subcube_indicator_functional(problem: DiscreteProblem, corner_index: int = 0) -> Functional:
-    """I_g for the scaled indicator of one sub-cube: I_g f = 2^(-d/2) f(corner)."""
-    m = problem.m
-    g = np.zeros(m)
-    g[corner_index] = 1.0 / math.sqrt(m)
-    return build_Ig(problem, g)
 
 
 def random_problem(seed: int, m: int, k: int) -> DiscreteProblem:

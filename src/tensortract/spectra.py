@@ -73,15 +73,15 @@ class KernelSpec:
 class EigenSequence:
     """Ordered eigenvalues lambda_1 >= lambda_2 >= ... >= 0 of W = S*S.
 
-    ``is_exhaustive`` marks finite-dimensional problems whose full spectrum
-    (including trailing zeros) is listed; otherwise the values are the true
-    leading eigenvalues of an infinite sequence.
+    A list that ends in 0 is a complete finite spectrum: every later
+    eigenvalue is 0 too.  Otherwise the values are the true leading
+    eigenvalues of an infinite sequence, and a query that its unseen tail
+    could affect raises TruncationError.
     """
 
     values: np.ndarray
     source: str = "numeric"
     exact_decay: float | None = None
-    is_exhaustive: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -107,20 +107,17 @@ class EigenSequence:
 class Eigenpair:
     """One eigenpair (lambda_j, eta_j) with a pointwise-exact eigenfunction.
 
-    ``func`` evaluates eta_j on [0, 1] (vectorized); ``dfunc`` its derivative.
+    ``func`` evaluates eta_j on [0, 1] (vectorized).
     ``params`` carries the family-specific closed-form constants so that
     downstream checks can work with exact parameters instead of samples.
     """
 
     index: int
     value: float
+    func: Callable[[np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    dfunc: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x):
-        if self.func is None:
-            raise ParameterError("eigenpair carries no eigenfunction")
         return self.func(np.asarray(x, dtype=float))
 
 

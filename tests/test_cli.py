@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensortract
-from tensortract import NumericError
-from tensortract.cli import _write_json, main
+from tensortract import (ComplexityQuery, NumericError, count_info_complexity_all,
+                         sobolev_min_eigenvalues)
+from tensortract.cli import _write_json, build_parser, main
 
 
 def run(args):
@@ -127,6 +130,21 @@ def test_complexity_std_lower_bound(capsys):
     assert data["lower_bound_only"] is True
 
 
+def test_complexity_doubles_the_list_until_it_resolves(monkeypatch, capsys):
+    sizes = []
+    build = tensortract.cli.family_eigenvalues
+    monkeypatch.setattr(tensortract.cli, "family_eigenvalues",
+                        lambda spec, count: sizes.append(count) or build(spec, count))
+    assert run(["complexity", "--family", "sobolev-min", "--eps", "1e-3", "--d", "2",
+                "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sizes == [64, 128, 256, 512]
+    long = count_info_complexity_all(sobolev_min_eigenvalues(4096),
+                                     ComplexityQuery(eps=1e-3, d=2))
+    assert (data["count"], data["truncation_index"]) == (long.count, long.truncation_index)
+    assert (long.count, long.truncation_index) == (865, 274)
+
+
 def test_classify_command(capsys):
     assert run(["classify", "--family", "sobolev-min", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -216,6 +234,14 @@ def test_verify_reduction_from_file(tmp_path):
     assert data["instances"] == 1
 
 
+def test_verify_reduction_n_beyond_m(capsys):
+    # instance 1 has m = 2 and draws n = 3: n samples of 2 points are 2 samples
+    assert run(["verify-reduction", "--problems", "2", "--seed", "2", "--max-n", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][1]
+    assert (report["m"], report["n"]) == (2, 3)
+    assert report["e_n_functional"] == report["e_n_operator"] == 0.0
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family=korobov\nalpha=1\nbeta=0.5\nd=1\neps=0.6\nformat=json\n")
@@ -236,8 +262,8 @@ def test_invalid_arguments_exit_code(tmp_path):
     assert run(["oracle-eigs", "--family", "sobolev-cosh", "--anchor", "0.3"]) == 2
     for refine in ("100,,200", "100,2x00"):
         assert run(["oracle-eigs", "--count", "2", "--refine", refine]) == 2
-    for flag, value in (("--max-n", "-1"), ("--m-max", "1"), ("--k-max", "0"),
-                        ("--trials", "0"), ("--samples", "0")):
+    for flag, value in (("--seed", "-1"), ("--max-n", "-1"), ("--m-max", "1"),
+                        ("--k-max", "0"), ("--trials", "0"), ("--samples", "0")):
         assert run(["verify-reduction", "--problems", "1", flag, value]) == 2
     for problems in ("0", "-1"):   # no instance checked is no pass
         assert run(["verify-reduction", "--problems", problems]) == 2
@@ -356,6 +382,78 @@ def test_config_file_applied_in_every_spelling(tmp_path, capsys, form):
     cfg.write_text("count=3\n")
     assert run(["eigs", *(token.format(cfg) for token in form)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3
+
+
+def _bad_paths(tmp_path):
+    """A missing file, a directory and a file that is not UTF-8 text."""
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(128, 256)))
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    return {"missing": str(tmp_path / "missing" / "p.txt"), "dir": str(tmp_path / "dir"),
+            "binary": str(binary)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-reduction", "--problem", "{missing}"], ["verify-reduction", "--problem", "{dir}"],
+    ["verify-reduction", "--problem", "{binary}"], ["eigs", "--out", "{missing}"],
+    ["density", "--out", "{missing}"], ["eigs", "--config", "{binary}"]])
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, argv):
+    paths = _bad_paths(tmp_path)
+    assert run([tok.format(**paths) for tok in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+# argument values for the fuzz: small valid numbers, out-of-range and
+# non-numeric ones, and the bad paths of _bad_paths
+_FUZZ_VALUES = ["1", "2", "3", "0.5", "0.1", "0.001", "0", "-1", "nan", "inf", "-inf",
+                "", "x", "{missing}", "{dir}", "{binary}"]
+# criteria that take milliseconds, and one unknown id
+_FUZZ_CRITERIA = ["1", "3", "4", "6", "13", "1,13", "99"]
+
+
+def _subcommand_options():
+    """Each subcommand's options, but --only, which the fuzz draws from
+    _FUZZ_CRITERIA alone."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings and a.dest != "only"]
+            for name, p in subparsers.choices.items()}
+
+
+_OPTIONS = _subcommand_options()
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    # keep every call cheap: a handful of problems, a few fast criteria
+    if command == "verify-reduction":
+        argv += ["--problems", "2"]
+    if command == "reproduce":
+        argv += ["--only", draw(st.sampled_from(_FUZZ_CRITERIA))]
+    for action in draw(st.lists(st.sampled_from(_OPTIONS[command]), max_size=5)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(draw(st.sampled_from(list(action.choices or []) + _FUZZ_VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_argv())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
+    # eps never goes below 1e-3, so the slow refusal of a tiny eps stays out
+    monkeypatch.chdir(tmp_path)
+    paths = _bad_paths(tmp_path)
+    try:
+        code = run([tok.format(**paths) for tok in argv])
+    except SystemExit as exc:   # argparse refusing the argv, or --help
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 1, 2, 3, 4), argv
 
 
 @pytest.mark.parametrize("command", ["density", "verify-reduction"])

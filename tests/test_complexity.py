@@ -32,7 +32,7 @@ def test_univariate_korobov_example():
 
 
 def test_rank_one_problem_needs_single_functional():
-    eigs = EigenSequence(np.array([1.0, 0.0, 0.0]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 0.0, 0.0]))
     for d in (1, 2, 5):
         for eps in (0.01, 0.5, 0.9):
             assert count(eigs, eps, d) == 1
@@ -106,14 +106,13 @@ def tie_split_oracle(eigs, eps, d):
 
 
 def tied_spectra(max_rest):
-    """Exhaustive spectra whose top eigenvalue has exact multiplicity 1-4,
+    """Finite spectra whose top eigenvalue has exact multiplicity 1-4,
     followed by up to six smaller eigenvalues (at most max_rest times the
-    top; near ties cost the d <= 40 oracle about d^(r+1)) and up to two
-    zeros."""
+    top; near ties cost the d <= 40 oracle about d^(r+1)), up to two
+    zeros, and the 0 that ends every finite spectrum."""
     return st.builds(
         lambda r, rest, zeros, scale: EigenSequence(
-            scale * np.array([1.0] * r + sorted(rest, reverse=True) + [0.0] * zeros),
-            is_exhaustive=True),
+            scale * np.array([1.0] * r + sorted(rest, reverse=True) + [0.0] * zeros + [0.0])),
         st.integers(1, 4), st.lists(st.floats(0.01, max_rest), max_size=6),
         st.integers(0, 2), st.sampled_from([1.0, 0.37, 2.5]))
 
@@ -140,13 +139,40 @@ def test_count_matches_tie_split_property(eigs, eps, d):
     assert res.count == min(expected, 2 ** 63 - 1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=7), st.floats(0.1, 0.9),
+       st.integers(1, 4))
+def test_trailing_zero_ends_a_finite_spectrum_property(positive, eps, d):
+    positive = sorted(positive, reverse=True)
+    r = len(positive)
+    eigs = EigenSequence(np.array(positive + [0.0]))
+    q = ComplexityQuery(eps=eps, d=d)
+    n_eps = count_info_complexity_all(eigs, q).count
+    assert n_eps == brute_force_count(eigs, q).count
+    # the r^d positive products are the only nonzero ones
+    assert en_all(eigs, d, r ** d - 1) == pytest.approx(positive[-1] ** (d / 2), rel=1e-12)
+    for n in (r ** d, r ** d + 1, 10 * r ** d):
+        assert en_all(eigs, d, n) == 0.0
+    # without its 0 the list only resolves the count when its last value
+    # already lies outside the budget
+    cut = EigenSequence(np.array(positive))
+    w = np.log(cut.values[0]) - np.log(cut.values)
+    if w[-1] < _effective_budget(eps):
+        with pytest.raises(TruncationError):
+            count_info_complexity_all(cut, q)
+    else:
+        assert count_info_complexity_all(cut, q).count == n_eps
+    with pytest.raises(TruncationError):
+        en_all(cut, d, r ** d)
+
+
 def test_korobov_pairs_match_tie_split():
     eigs = korobov_eigenvalues(0.75, 0.9, 2 ** 14)
     assert count(eigs, 0.01, 6) == tie_split_oracle(eigs, 0.01, 6)
 
 
 def test_near_ties_hit_the_multiset_guard(monkeypatch):
-    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5, 0.0]))
     assert count(eigs, 0.1, 10) == tie_split_oracle(eigs, 0.1, 10)
     monkeypatch.setattr(complexity, "_MULTISET_GUARD", 100)
     with pytest.raises(ResourceLimitError):
@@ -165,7 +191,7 @@ def test_count_leaves_recursion_limit_alone(monkeypatch):
 
 
 def test_triple_top_tie_counts_three_to_the_d():
-    eigs = EigenSequence(np.array([1.0, 1.0, 1.0, 1e-300]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 1.0, 1.0, 1e-300, 0.0]))
     for d in (1, 2, 7, 39):
         assert count(eigs, 0.5, d) == 3 ** d
     # 3^39 < 2^63 - 1 < 3^40; a d of 10^9 saturates without building 3^d
@@ -178,7 +204,7 @@ def test_triple_top_tie_counts_three_to_the_d():
 def test_near_tie_is_not_a_tie():
     # weight w = 1.00005e-4 against a budget of 2.001e-3: at most 20 of the
     # 40 positions may take the second index
-    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-4]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 1.0 - 1e-4, 0.0]))
     expected = sum(math.comb(40, k) for k in range(21))
     assert count(eigs, 0.999, 40) == expected < 2 ** 40
 
@@ -207,7 +233,7 @@ def test_exact_tie_excluded():
 
 
 def test_saturation_flag():
-    eigs = EigenSequence(np.array([1.0, 1.0]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 1.0, 0.0]))
     res = count_info_complexity_all(eigs, ComplexityQuery(eps=0.5, d=70))
     assert res.saturated
     assert res.count == 2 ** 63 - 1
@@ -228,7 +254,7 @@ def test_truncation_error_on_short_list():
 def test_brute_force_guards():
     with pytest.raises(ResourceLimitError):
         brute_force_count(SOB, ComplexityQuery(eps=0.5, d=5))
-    wide = EigenSequence(np.ones(200), is_exhaustive=True)
+    wide = EigenSequence(np.append(np.ones(200), 0.0))
     with pytest.raises(ResourceLimitError):
         brute_force_count(wide, ComplexityQuery(eps=0.5, d=4))
 
@@ -276,8 +302,7 @@ def test_decay_window_validation():
         estimate_decay(eigs, (40, 45))      # too short
     with pytest.raises(ParameterError):
         estimate_decay(eigs, (10, 60))      # beyond the sequence
-    withzero = EigenSequence(np.concatenate([np.arange(1, 30.0) ** -1, [0.0] * 21]),
-                             is_exhaustive=True)
+    withzero = EigenSequence(np.concatenate([np.arange(1, 30.0) ** -1, [0.0] * 21]))
     with pytest.raises(ParameterError):
         estimate_decay(withzero, (20, 40))  # zero eigenvalue inside
 
@@ -500,7 +525,7 @@ def test_en_all_nonincreasing_and_matches_counting():
 
 
 def test_en_all_exhaustive_zero_tail():
-    eigs = EigenSequence(np.array([1.0, 0.5, 0.0]), is_exhaustive=True)
+    eigs = EigenSequence(np.array([1.0, 0.5, 0.0]))
     assert en_all(eigs, 1, 2) == 0.0
     assert en_all(eigs, 1, 7) == 0.0
     assert en_all(eigs, 2, 3) == pytest.approx(0.5, abs=1e-15)

@@ -50,10 +50,16 @@ def test_invalid_root_index():
         solve_cot_root(0)
 
 
+def _min_derivative(p, x):
+    # eta_j = beta cos(alpha x - alpha)
+    a, b = p.params["alpha"], p.params["beta"]
+    return -b * a * np.sin(a * x - a)
+
+
 def _sobolev_min_inner(p, q, nodes=8193):
     x = np.linspace(0.0, 1.0, nodes)
     return float(p.func(0.0) * q.func(0.0)
-                 + scipy.integrate.simpson(p.dfunc(x) * q.dfunc(x), x=x))
+                 + scipy.integrate.simpson(_min_derivative(p, x) * _min_derivative(q, x), x=x))
 
 
 def test_min_kernel_eigenfunction_unit_norm():
@@ -102,10 +108,16 @@ def test_cosh_eigenvalues_closed_form():
     assert seq.exact_decay == 2.0
 
 
+def _cosh_derivative(p, x):
+    # eta_j = beta cos(alpha x), alpha = (j - 1) pi
+    a, b = p.params["alpha"], p.params["beta"]
+    return -b * a * np.sin(a * x)
+
+
 def _cosh_inner(p, q, nodes=8193):
     x = np.linspace(0.0, 1.0, nodes)
     return float(scipy.integrate.simpson(p.func(x) * q.func(x), x=x)
-                 + scipy.integrate.simpson(p.dfunc(x) * q.dfunc(x), x=x))
+                 + scipy.integrate.simpson(_cosh_derivative(p, x) * _cosh_derivative(q, x), x=x))
 
 
 def test_cosh_eigenfunctions_orthonormal():

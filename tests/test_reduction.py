@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensortract import (DiscreteProblem, Functional, NumericError,
                          ParameterError, ResourceLimitError,
-                         build_Ig, e0_functional, subcube_indicator_functional,
-                         piecewise_constant_instance, cube_mean_functional,
+                         build_Ig, piecewise_constant_instance, cube_mean_functional,
                          fixed_info_radius, load_problem, minimal_error_std,
                          random_problem, random_problem_with_multiplicity,
                          save_problem, top_eigenpair, verify_domination,
@@ -19,6 +18,19 @@ from tensortract.reduction import _generalized_eigh
 # step rule of the per-sample power-iteration oracle
 _POWER_STEP_TOL = 1e-13
 _POWER_MAX_ITERS = 50_000
+
+
+def e0_functional(problem, functional):
+    """Initial error of I_g: the F-norm of its representer S*g."""
+    r = functional.representer
+    return math.sqrt(max(float(r @ problem.gram_F @ r), 0.0))
+
+
+def subcube_indicator_functional(problem, corner_index=0):
+    """I_g for the scaled indicator of one sub-cube: I_g f = 2^(-d/2) f(corner)."""
+    g = np.zeros(problem.m)
+    g[corner_index] = 1.0 / math.sqrt(problem.m)
+    return build_Ig(problem, g)
 
 
 def test_scalar_problem_top_eigenvalue():
@@ -71,7 +83,7 @@ def test_build_Ig_identity_of_pairings():
     for _ in range(5):
         f = rng.standard_normal(6)
         via_F = float(f @ p.gram_F @ func.representer)
-        via_G = float((p.operator_S @ f) @ p.gram_G @ func.g_coords)
+        via_G = float((p.operator_S @ f) @ p.gram_G @ g)
         assert via_F == pytest.approx(via_G, abs=1e-10)
 
 
@@ -393,7 +405,7 @@ def test_sampling_a_point_determines_its_kernel_section_functional():
     for i, label in enumerate(p.points):
         e = np.zeros(5)
         e[i] = 1.0
-        section = Functional(representer=e, g_coords=np.zeros(3))
+        section = Functional(representer=e)
         assert fixed_info_radius(p, section, (label,)) == pytest.approx(0.0, abs=1e-10)
         assert fixed_info_radius(p, section, ()) > 0.1
 

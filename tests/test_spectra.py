@@ -159,7 +159,7 @@ def test_gram_matrix_matches_scalar_eval():
 
 
 def test_eigen_sequence_invariants():
-    seq = EigenSequence(np.array([2.0, 1.0, 1.0, 0.0]), is_exhaustive=True)
+    seq = EigenSequence(np.array([2.0, 1.0, 1.0, 0.0]))
     assert len(seq) == 4
     with pytest.raises(ParameterError):
         EigenSequence(np.array([0.0, 0.0]))          # zero leading eigenvalue
