@@ -388,16 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> list[str]:
     """Flat key=value lines become '--key value' argument pairs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {exc}") from None
     extra: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            extra.extend([f"--{key}", value])
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"malformed config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        extra.extend([f"--{key}", value])
     return extra
 
 
@@ -427,7 +431,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_merge_config(argv))
         return args.func(args)
-    except (ParameterError, DomainError, OSError, UnicodeDecodeError) as exc:
+    except (ParameterError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, TruncationError) as exc:

@@ -10,7 +10,6 @@ integers) and free of underflow for every d.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, TruncationError
+from .errors import NumericError, ParameterError, ResourceLimitError, TruncationError
 from .eigensolve import solve_cot_root
 from .spectra import REL_TIE, Eigenpair, EigenSequence
 
@@ -31,7 +30,7 @@ _TIE = REL_TIE
 
 _BRUTE_MAX_TUPLES = 10 ** 8
 _BRUTE_CHUNK = 2 * 10 ** 7
-_HEAP_MAX_POPS = 10 ** 6
+_EN_MAX_RANK = 10 ** 6
 _MULTISET_GUARD = 2 * 10 ** 6
 _GOODCASE_GRID = 1001
 _GOODCASE_RTOL = 1e-9    # relative to max |eta_1| on the grid
@@ -264,96 +263,81 @@ def classify(lambda1: float, lambda2: float, decay: float,
         raise ParameterError("need 0 <= lambda2 <= lambda1")
 
     if lambda2 >= lambda1 * (1.0 - REL_TIE):
-        return TractabilityReport(lambda1, lambda2, decay, None,
-                                  classification_all="curse",
-                                  classification_std="curse",
-                                  goodcase_holds=goodcase)
-
+        return TractabilityReport(lambda1, lambda2, decay, None, classification_all="curse",
+                                  classification_std="curse", goodcase_holds=goodcase)
     if goodcase is True:
         std = "curse"
     elif goodcase is False and lambda2 == 0.0:
         std = "trivial"
     else:
         std = "unknown"
-
     if lambda2 == 0.0:
-        return TractabilityReport(lambda1, lambda2, decay, 0.0,
-                                  classification_all="qpt-trivial-functional",
-                                  classification_std=std,
-                                  goodcase_holds=goodcase)
-    if decay > 0.0:
-        t_star = qpt_exponent(lambda1, lambda2, decay)
-        return TractabilityReport(lambda1, lambda2, decay, t_star,
-                                  classification_all="qpt-not-pt",
-                                  classification_std=std,
-                                  goodcase_holds=goodcase)
-    return TractabilityReport(lambda1, lambda2, decay, None,
-                              classification_all="not-qpt",
-                              classification_std=std,
-                              goodcase_holds=goodcase)
+        linear, t_star = "qpt-trivial-functional", 0.0
+    elif decay > 0.0:
+        linear, t_star = "qpt-not-pt", qpt_exponent(lambda1, lambda2, decay)
+    else:
+        linear, t_star = "not-qpt", None
+    return TractabilityReport(lambda1, lambda2, decay, t_star, classification_all=linear,
+                              classification_std=std, goodcase_holds=goodcase)
+
+
+def _smallest_sums(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest sums a_i + b_j of two ascending arrays, ascending
+    (all of them when there are fewer).  Only pairs with (i + 1)(j + 1) <= k
+    can be needed: every other pair has at least k pairs below and left of
+    it that are no larger (Frederickson & Johnson, JCSS 24, 1982).  Rows
+    i < sqrt(k) and columns j < sqrt(k) cover those pairs once each."""
+    r = math.isqrt(k)
+    sums = np.concatenate([a[i] + b[:k // (i + 1)] for i in range(min(r, len(a)))]
+                          + [a[r:k // (j + 1)] + b[j] for j in range(min(r, len(b)))])
+    if sums.size > k:
+        sums.partition(k - 1)
+    return np.sort(sums[:k])
+
+
+def _smallest_fold_sums(w: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The k smallest sums of d entries of w, by binary powering in d."""
+    if d == 1:
+        return w
+    half = _smallest_fold_sums(w, d // 2, k)
+    sums = _smallest_sums(half, half, k)
+    return _smallest_sums(sums, w, k) if d % 2 else sums
 
 
 def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     """n-th minimal error for arbitrary linear information: the square root
-    of the (n+1)-th largest product eigenvalue.  n = 0 gives lambda_1^(d/2),
-    and past the last positive product of a list that ends in 0 it is 0.
+    of the (n+1)-th largest product eigenvalue, lambda_1^(d/2) exp(-s/2)
+    with s the (n+1)-th smallest sum of d weights w_j = ln(lambda_1 /
+    lambda_j).  Only the first n + 1 values can occur, so a list that long
+    always resolves e_n.  A shorter list that does not end in 0 raises
+    TruncationError when it has fewer than n + 1 products, or when its last
+    product lambda_L lambda_1^(d-1) exceeds the answer by more than REL_TIE.
+    Past the last positive product of a list that ends in 0, e_n is 0; an
+    e_n past the double range raises NumericError.
     """
+    d, n = operator.index(d), operator.index(n)
     if d < 1:
         raise ParameterError("d must be >= 1")
     if n < 0:
         raise ParameterError("n must be >= 0")
+    k = n + 1
+    if k > _EN_MAX_RANK:
+        raise ResourceLimitError(f"rank {k} exceeds the rank enumeration guard {_EN_MAX_RANK}")
     lam = eigs.values
-    if n == 0:
-        return float(lam[0] ** (0.5 * d))
-
     with np.errstate(divide="ignore"):
-        w = np.log(lam[0]) - np.log(lam)
-    L = len(lam)
-    log_lam1 = math.log(lam[0])
-    factorial = math.factorial
-
-    # best-first enumeration of nondecreasing index tuples by total weight
-    start = tuple([0] * d)
-    heap = [(0.0, start)]
-    seen = {start}
-    cumulative = 0
-    pops = 0
-    value = None
-    while heap:
-        pops += 1
-        if pops > _HEAP_MAX_POPS:
-            raise ResourceLimitError("rank enumeration guard exceeded; n too large")
-        s, tup = heapq.heappop(heap)
-        if not math.isfinite(s):
-            value = 0.0  # only zero-product tuples remain
-            break
-        mult = factorial(d)
-        for idx in set(tup):
-            mult //= factorial(tup.count(idx))
-        cumulative += mult
-        if cumulative >= n + 1:
-            value = math.exp(d * log_lam1 - s)
-            break
-        for pos in range(d):
-            j = tup[pos]
-            if j + 1 >= L:
-                continue
-            if pos + 1 < d and j + 1 > tup[pos + 1]:
-                continue
-            child = tup[:pos] + (j + 1,) + tup[pos + 1:]
-            if child not in seen:
-                seen.add(child)
-                heapq.heappush(heap, (s + w[j + 1] - w[j], child))
-
-    if value is None:
-        raise TruncationError("eigenvalue list exhausted before rank n+1; "
-                              "supply more eigenvalues")
-    if value == 0.0:
+        w = np.log(lam[0]) - np.log(lam[:k])
+    sums = _smallest_fold_sums(w, d, k)
+    s_k = sums[n] if len(sums) == k else math.inf
+    if lam[-1] == 0.0 and s_k == math.inf:
         return 0.0
-    if value <= lam[-1] * lam[0] ** (d - 1):
-        raise TruncationError("rank n+1 not resolvable at this truncation: "
-                              "unseen eigenvalues could still displace it")
-    return math.sqrt(value)
+    if len(lam) < k and s_k > w[-1] + math.log1p(_TIE):
+        raise TruncationError(f"rank {k} needs more eigenvalues: unseen ones could displace it")
+    try:
+        if n == 0:
+            return float(lam[0]) ** (0.5 * d)
+        return math.exp(0.5 * (d * math.log(lam[0]) - s_k))
+    except OverflowError:
+        raise NumericError(f"e_n exceeds the double range at d={d}") from None
 
 
 @dataclass(frozen=True)

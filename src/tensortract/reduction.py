@@ -493,8 +493,11 @@ def save_problem(problem: DiscreteProblem, path) -> None:
 
 
 def load_problem(path) -> DiscreteProblem:
-    with open(path) as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"problem file {path} is not UTF-8 text: {exc}") from None
     if len(tokens) < 2:
         raise ParameterError("problem file too short")
     try:

@@ -405,6 +405,20 @@ def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-reduction", "--problem", "{bad}"], ["verify-reduction", "--config", "{bad}"],
+    ["verify-reduction", "--problem", "{bad}", "--config", "{good}"]],
+    ids=["problem", "config", "problem-with-config"])
+def test_file_that_is_not_utf8_is_named(tmp_path, capsys, argv):
+    bad, good = tmp_path / "bad.txt", tmp_path / "good.cfg"
+    bad.write_bytes(b"\x80\x81")
+    good.write_text("samples=5\n")
+    assert run([tok.format(bad=bad, good=good) for tok in argv]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and str(good) not in err
+    assert "Traceback" not in err
+
+
 # argument values for the fuzz: small valid numbers, out-of-range and
 # non-numeric ones, and the bad paths of _bad_paths
 _FUZZ_VALUES = ["1", "2", "3", "0.5", "0.1", "0.001", "0", "-1", "nan", "inf", "-inf",

@@ -1,3 +1,4 @@
+import heapq
 import math
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
-                         ParameterError, ResourceLimitError, TruncationError,
+                         NumericError, ParameterError, ResourceLimitError, TruncationError,
                          brute_force_count, check_goodcase_sobolev_min,
                          classify, count_info_complexity_all, en_all,
                          estimate_decay, initial_error_ratio_integration,
@@ -535,6 +536,127 @@ def test_en_all_truncation_guard():
     short = sobolev_min_eigenvalues(3)
     with pytest.raises(TruncationError):
         en_all(short, 2, 40)
+
+
+def heap_en_all(eigs, d, n):
+    """Oracle for en_all: best-first enumeration of nondecreasing index
+    d-tuples by total weight, each popped tuple standing for its
+    multinomial number of orderings."""
+    lam = eigs.values
+    with np.errstate(divide="ignore"):
+        w = np.log(lam[0]) - np.log(lam)
+    start = (0,) * d
+    heap, seen, cumulative = [(0.0, start)], {start}, 0
+    while heap:
+        s, tup = heapq.heappop(heap)
+        if not math.isfinite(s):
+            return 0.0
+        mult = math.factorial(d)
+        for idx in set(tup):
+            mult //= math.factorial(tup.count(idx))
+        cumulative += mult
+        if cumulative >= n + 1:
+            return math.sqrt(math.exp(d * math.log(lam[0]) - s))
+        for pos in range(d):
+            j = tup[pos]
+            if j + 1 < len(lam) and (pos + 1 == d or j + 1 <= tup[pos + 1]):
+                child = tup[:pos] + (j + 1,) + tup[pos + 1:]
+                if child not in seen:
+                    seen.add(child)
+                    heapq.heappush(heap, (s + w[j + 1] - w[j], child))
+    raise AssertionError("the oracle ran out of tuples")
+
+
+def brute_force_products(values, d):
+    """All len(values)^d products, largest first."""
+    prods = np.ones(1)
+    for _ in range(d):
+        prods = (prods[:, None] * values[None, :]).ravel()
+    return np.sort(prods)[::-1]
+
+
+@st.composite
+def finite_spectra(draw):
+    """Nonincreasing lists of 1-6 values with exact ties, near ties
+    (1 - 1e-13) and, for some, trailing zeros."""
+    vals = []
+    for v in sorted(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5)), reverse=True):
+        vals.append(v)
+        tie = draw(st.sampled_from(["none", "exact", "near"]))
+        if tie != "none":
+            vals.append(v if tie == "exact" else v * (1.0 - 1e-13))
+    vals = sorted(vals, reverse=True)[:6] + [0.0] * draw(st.integers(0, 2))
+    return EigenSequence(np.array(vals))
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_spectra(), st.integers(1, 4), st.data())
+def test_en_all_matches_brute_force_property(eigs, d, data):
+    lam = eigs.values
+    n = data.draw(st.integers(0, len(lam) ** d + 2))
+    prods = brute_force_products(lam, d)
+    expected = math.sqrt(prods[n]) if n < prods.size else 0.0
+    complete = lam[-1] == 0.0
+    # a list without its 0 is resolvable when it has n + 1 values, or when
+    # its rank-(n+1) product ties or beats every unseen one
+    if complete or len(lam) > n or (n < prods.size
+                                    and prods[n] * (1.0 + 1e-12) >= lam[-1] * lam[0] ** (d - 1)):
+        assert en_all(eigs, d, n) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_spectra(), st.integers(1, 4), st.data())
+def test_en_all_truncation_verdict_property(eigs, d, data):
+    lam = eigs.values[eigs.values > 0.0]  # without its zeros the list is cut
+    cut = EigenSequence(lam)
+    n = data.draw(st.integers(1, len(lam) ** d + 2))
+    prods = brute_force_products(lam, d)
+    refused = len(lam) <= n and (
+        n >= prods.size or prods[n] * (1.0 + 1e-12) < lam[-1] * lam[0] ** (d - 1))
+    if refused:
+        with pytest.raises(TruncationError):
+            en_all(cut, d, n)
+    else:
+        assert en_all(cut, d, n) == pytest.approx(math.sqrt(prods[n]), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [50, 200, 1000])
+def test_en_all_matches_heap_at_large_d(d):
+    spectra = [sobolev_cosh_eigenvalues(80), korobov_eigenvalues(1.0, 0.5, 80),
+               korobov_eigenvalues(0.75, 0.9, 80), korobov_eigenvalues(2.0, 0.05, 80),
+               KOR_TIE]
+    for eigs in spectra:
+        assert eigs.values[0] == 1.0
+        for n in (0, 1, 2, 17, 33, 60):
+            assert en_all(eigs, d, n) == pytest.approx(heap_en_all(eigs, d, n), rel=1e-12)
+
+
+def test_en_all_resolves_lists_that_hold_the_rank():
+    # n + 1 values always resolve e_n; the heap refused each of these
+    cosh = sobolev_cosh_eigenvalues(10)
+    assert en_all(cosh, 1, 9) == pytest.approx(math.sqrt(cosh.values[9]), rel=1e-15)
+    assert en_all(EigenSequence(np.ones(200)), 2, 9) == 1.0
+    # nine degree-2 products of three unit values, and no unseen one is larger
+    assert en_all(korobov_eigenvalues(1.0, 1.0, 3), 2, 8) == 1.0
+
+
+def test_en_all_past_the_double_range():
+    eigs = sobolev_min_eigenvalues(10)   # lambda_1^2500 overflows
+    for n in (0, 1):
+        with pytest.raises(NumericError, match="d=5000"):
+            en_all(eigs, 5000, n)
+    assert en_all(eigs, 4000, 1) < en_all(eigs, 4000, 0) < math.inf
+
+
+def test_en_all_rank_guard_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            en_all(SOB, 3, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_initial_error_ratio():
