@@ -313,7 +313,7 @@ def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     TruncationError when it has fewer than n + 1 products, or when its last
     product lambda_L lambda_1^(d-1) exceeds the answer by more than REL_TIE.
     Past the last positive product of a list that ends in 0, e_n is 0; an
-    e_n past the double range raises NumericError.
+    e_n that overflows or underflows a double raises NumericError.
     """
     d, n = operator.index(d), operator.index(n)
     if d < 1:
@@ -333,11 +333,12 @@ def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     if len(lam) < k and s_k > w[-1] + math.log1p(_TIE):
         raise TruncationError(f"rank {k} needs more eigenvalues: unseen ones could displace it")
     try:
-        if n == 0:
-            return float(lam[0]) ** (0.5 * d)
-        return math.exp(0.5 * (d * math.log(lam[0]) - s_k))
+        e_n = float(lam[0]) ** (0.5 * d) if n == 0 else math.exp(0.5 * (d * math.log(lam[0]) - s_k))
     except OverflowError:
-        raise NumericError(f"e_n exceeds the double range at d={d}") from None
+        e_n = math.inf
+    if e_n == 0.0 or e_n == math.inf:   # a positive product always has a positive root
+        raise NumericError(f"e_n lies outside the double range at d={d}")
+    return e_n
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ approximation, and Richardson extrapolation sharpens them.
 count alone (see `nystrom_solver`):
 
     korobov                          any count      circulant-fft
-    the four u(min) v(max) kernels   count <= m/6   lanczos
-    the four u(min) v(max) kernels   count > m/6    dense eigvalsh
+    sobolev-cosh                     any count      cosine-fft
+    brownian-min                     any count      sine-fft
+    sobolev-min, sobolev-distance    count <= m/6   lanczos
+    sobolev-min, sobolev-distance    count > m/6    dense eigvalsh
 
-Dense `eigvalsh` is also the oracle the other two are tested against.
+The three FFT solvers read all m eigenvalues off one real FFT, and dense
+`eigvalsh` is the oracle every other solver is tested against.
+
 Lanczos stops once each of the `count` top Ritz values has an error bound
 of at most eps theta_max: r^2 / delta (Kato-Temple), with r the residual
 bound and delta the gap to the neighbouring Ritz values less their own r,
@@ -37,11 +41,11 @@ from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_fa
 
 # Lanczos keeps a basis of about 2 count + 5 rows and orthogonalizes every
 # step against it twice, so past count = m/6 dense eigvalsh can win
-# (sobolev-cosh, 2-core Xeon, one BLAS thread, Lanczos against dense, ranges
-# of 7 runs, 3 at m = 2000: at m/6 10-12 against 16-20 ms at m = 500, 75-84
-# against 121-132 ms at m = 1000, 715-743 against 768-826 ms at m = 2000; at
-# m/5 Lanczos still wins at m = 500 and ties at 1000 but takes 1046-1136 ms
-# at m = 2000).
+# (sobolev-min, 2-core Xeon, one BLAS thread, Lanczos against dense, ranges
+# of 7 runs, 3 at m = 2000: at m/6 13-17 against 19-20 ms at m = 500, 76-94
+# against 104-128 ms at m = 1000, 811-835 against 849-861 ms at m = 2000; at
+# m/5 Lanczos ties at m = 500 but takes 141-155 against 112-123 ms at 1000
+# and 1108-1182 against 866-881 ms at 2000).
 _LANCZOS_MAX_SHARE = 1 / 6
 _LANCZOS_CHECK = 5        # steps between Lanczos convergence checks, the first after 2 count + 5
 _LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
@@ -81,27 +85,47 @@ def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
     return d * gram_matrix(spec, grid.nodes) * d
 
 
-def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
-    """The eigensolver `nystrom_spectrum` uses for these inputs.
+_FFT_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft"}
 
-    ``circulant-fft``: korobov, whose K depends only on (i - j) mod m on the
-    midpoint rule.  ``lanczos``: the four u(min) v(max) kernels with
-    count <= m/6; their simple eigenvalues keep Lanczos away from the paired
-    Korobov spectrum.  ``dense``: those kernels with count > m/6.
-    """
-    if spec.family == "korobov":
-        return "circulant-fft"
+
+def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
+    """The eigensolver `nystrom_spectrum` uses for these inputs, as tabled in
+    the module docstring.  A real FFT diagonalizes the korobov, sobolev-cosh
+    and brownian-min Grams at every count (see `_fft_eigenvalues`); the other
+    two kernels have simple eigenvalues, which Lanczos finds up to m/6."""
+    if spec.family in _FFT_SOLVERS:
+        return _FFT_SOLVERS[spec.family]
     return "lanczos" if count <= _LANCZOS_MAX_SHARE * len(grid) else "dense"
 
 
-def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """All m eigenvalues: the DFT of the first Gram row, times the weight 1/m.
-    K is even and 1-periodic, so the row is symmetric under j -> m - j up to
-    rounding; the real part of its DFT holds the eigenvalues, and mirroring
-    it pairs k with m - k exactly."""
-    m, nodes = len(grid), grid.nodes
-    half = np.fft.rfft(_kernel(spec, nodes[0], nodes)).real / m
-    return np.concatenate([half, half[1:(m + 1) // 2]])
+def _fft_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """All m eigenvalues of d K d, d = sqrt(1/m), from the real DFT of one
+    periodic symbol c sampled at n/m.
+
+    On the midpoint rule x_i - x_j = (i - j)/m and x_i + x_j = (i + j + 1)/m,
+    so a Gram matrix c(x - y) +- c(x + y) is Toeplitz +- Hankel: the circulant
+    of c(n/m) over one period, folded onto the vectors symmetric about the
+    grid's ends (Strang, The Discrete Cosine Transform, SIAM Review 41, 1999):
+
+    korobov       K = c(x - y), c even and 1-periodic: the DFT of the first
+                  Gram row; mirroring it pairs k with m - k exactly.
+    sobolev-cosh  K = [c(x - y) + c(x + y)] / 2 with c(t) = K(min(t, 2 - t), 0)
+                  even and 2-periodic: bins 0 .. m - 1 of the 2m samples.
+    brownian-min  K = [c(x - y) - c(x + y)] / 2 with c(t) = K(1, 1) - 2 K(t/2, t/2)
+                  on [0, 2) and c(t + 2) = -c(t), so 4-periodic: the odd
+                  bins 1 .. 2m - 1 of the 4m samples.
+    """
+    m = len(grid)
+    if spec.family == "korobov":
+        half = np.fft.rfft(_kernel(spec, grid.nodes[0], grid.nodes)).real / m
+        return np.concatenate([half, half[1:(m + 1) // 2]])
+    n = np.arange(2 * m)
+    if spec.family == "sobolev-cosh":
+        c = _kernel(spec, np.minimum(n, 2 * m - n) / m, 0.0)
+        return np.fft.rfft(c).real[:m] / (2 * m)
+    half_t = n / (2 * m)
+    c = _kernel(spec, 1.0, 1.0) - 2.0 * _kernel(spec, half_t, half_t)
+    return np.fft.rfft(np.concatenate([c, -c])).real[1:2 * m:2] / (4 * m)
 
 
 def _min_max_matvec(gather, weights, z, out):
@@ -185,8 +209,8 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
     if count > len(grid):
         raise ParameterError(f"count {count} exceeds grid size {len(grid)}")
     solver = nystrom_solver(spec, grid, count)
-    if solver == "circulant-fft":
-        vals = _circulant_eigenvalues(spec, grid)
+    if solver.endswith("-fft"):
+        vals = _fft_eigenvalues(spec, grid)
     elif solver == "lanczos":
         vals = _lanczos_eigenvalues(spec, grid, count)
     else:

@@ -84,11 +84,13 @@ def test_oracle_eigs_refine(tmp_path):
 
 
 @pytest.mark.parametrize("args, solver", [
-    (["--family", "sobolev-cosh", "--grid-size", "200"], "lanczos"),
+    (["--family", "sobolev-min", "--grid-size", "200"], "lanczos"),
     (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"],
      "circulant-fft"),
-    (["--family", "brownian-min", "--grid-size", "20"], "dense"),
+    (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "dense"),
     (["--family", "sobolev-min", "--count", "3", "--refine", "10,20"], "dense+lanczos"),
+    (["--family", "sobolev-cosh", "--grid-size", "20"], "cosine-fft"),
+    (["--family", "brownian-min", "--grid-size", "20"], "sine-fft"),
 ])
 def test_oracle_eigs_reports_its_solver(capsys, args, solver):
     assert run(["oracle-eigs", "--format", "json"] + args) == 0

@@ -648,6 +648,27 @@ def test_en_all_past_the_double_range():
     assert en_all(eigs, 4000, 1) < en_all(eigs, 4000, 0) < math.inf
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_en_all_underflow_is_a_numeric_error(n):
+    # 0.5^1500 is positive but below the smallest double: 0.0 would read as
+    # "past the last positive product"
+    with pytest.raises(NumericError, match="d=3000"):
+        en_all(EigenSequence(np.array([0.5, 0.25])), 3000, n)
+
+
+def test_en_all_keeps_small_normal_answers():
+    assert en_all(EigenSequence(np.array([0.5, 0.25])), 2000, 1) == pytest.approx(
+        math.sqrt(0.5 ** 1999 * 0.25), rel=1e-12)
+
+
+def test_en_all_zero_tail_is_zero_past_the_last_positive_product():
+    # the one positive product 0.5^3000 underflows; every later one is exactly 0
+    eigs = EigenSequence(np.array([0.5, 0.0]))
+    assert en_all(eigs, 3000, 1) == en_all(eigs, 3000, 5) == 0.0
+    with pytest.raises(NumericError, match="d=3000"):
+        en_all(eigs, 3000, 0)
+
+
 def test_en_all_rank_guard_allocates_nothing():
     tracemalloc.start()
     try:

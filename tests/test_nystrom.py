@@ -9,10 +9,12 @@ from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenv
                          midpoint_grid, nystrom_spectrum, richardson_refine)
 from tensortract import nystrom
 from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
+from tensortract.spectra import _kernel
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
 KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)
+BROWNIAN = KernelSpec("brownian-min")
 
 
 def test_midpoint_grid_shape():
@@ -173,14 +175,12 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
 def test_solver_choice():
     # the largest count Lanczos takes on each grid: m/6 rounded down
     last_lanczos = {2: 0, 3: 0, 7: 1, 64: 10, 100: 16, 500: 83}
+    fft = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft"}
     for m, last in last_lanczos.items():
         grid = midpoint_grid(m)
         for spec in ALL_FAMILIES:
             for count in range(1, m + 1):
-                if spec.family == "korobov":
-                    want = "circulant-fft"
-                else:
-                    want = "lanczos" if count <= last else "dense"
+                want = fft.get(spec.family, "lanczos" if count <= last else "dense")
                 assert nystrom_solver(spec, grid, count) == want, (spec.label(), m, count)
 
 
@@ -194,7 +194,47 @@ def test_korobov_is_circulant_fft_at_every_count(m):
         assert nystrom_spectrum(KOR, grid, count).values.tobytes() == full[:count].tobytes()
 
 
-@pytest.mark.parametrize("spec, m", [(COSH, 2000), (KOR, 2000), (MIN, 20)])
+@pytest.mark.parametrize("m", [1, 2, 7, 64, 501])
+def test_reflection_identities_reproduce_the_weighted_gram(m):
+    # cosh: K = [f(x - y) + f(x + y)] / 2, f(t) = K(min(t, 2 - t), 0);
+    # brownian-min: K = [g(x - y) - g(x + y)] / 2, g(t) = K(1, 1) - 2 K(|t|/2, |t|/2)
+    x = midpoint_grid(m).nodes
+    diff, total = np.abs(x[:, None] - x[None, :]), x[:, None] + x[None, :]
+
+    def f(t):
+        return _kernel(COSH, np.minimum(t, 2.0 - t), 0.0)
+
+    def g(t):
+        return _kernel(BROWNIAN, 1.0, 1.0) - 2.0 * _kernel(BROWNIAN, t / 2, t / 2)
+
+    for spec, folded in ((COSH, f(diff) + f(total)), (BROWNIAN, g(diff) - g(total))):
+        M = weighted_kernel_matrix(spec, midpoint_grid(m))
+        assert np.max(np.abs(0.5 * folded / m - M)) <= 4 * np.finfo(float).eps * np.max(M), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([COSH, BROWNIAN]), st.data())
+def test_trigonometric_ffts_match_dense_eigvalsh(spec, data):
+    m = data.draw(st.integers(1, 600))
+    count = data.draw(st.integers(1, m))
+    grid = midpoint_grid(m)
+    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+    got = nystrom_spectrum(spec, grid, count).values
+    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+@pytest.mark.parametrize("m", [10 ** 5, 10 ** 6])
+def test_trigonometric_ffts_match_closed_forms(m):
+    # the midpoint Gram's own eigenvalues, where no dense solve fits
+    grid, k = midpoint_grid(m), np.arange(m)
+    brownian = 1.0 / (4.0 * m * m * np.sin((2 * k + 1) * np.pi / (4 * m)) ** 2)
+    cosh = np.sinh(1.0 / m) / (4.0 * m * (np.sinh(0.5 / m) ** 2 + np.sin(k * np.pi / (2 * m)) ** 2))
+    for spec, exact in ((BROWNIAN, brownian), (COSH, cosh)):
+        got = nystrom_spectrum(spec, grid, m).values
+        assert np.max(np.abs(got - exact)) <= 1e-15 * exact[0], spec
+
+
+@pytest.mark.parametrize("spec, m", [(MIN, 2000), (KOR, 2000), (MIN, 20)])
 def test_repeated_solves_are_bitwise_equal(spec, m):
     grid = midpoint_grid(m)   # lanczos, circulant-fft, dense
     a = nystrom_spectrum(spec, grid, 5).values
@@ -272,10 +312,16 @@ def test_min_max_matvec_sums_tails_backwards(monkeypatch):
     _check_products(monkeypatch, MIN, midpoint_grid(m), np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)
 
 
+def _lanczos(spec, grid, count):
+    """The top `count` Lanczos eigenvalues, largest first, whichever solver
+    `nystrom_spectrum` would pick: Lanczos stays tested on all four kernels."""
+    return nystrom._lanczos_eigenvalues(spec, grid, count)[::-1]
+
+
 def _check_products(monkeypatch, spec, grid, M):
     """Every product a Lanczos solve forms must be M z to rounding."""
     products = _record_products(monkeypatch)
-    nystrom_spectrum(spec, grid, max(1, len(grid) // 6))
+    _lanczos(spec, grid, max(1, len(grid) // 6))
     assert products
     for z, out in products:
         assert np.max(np.abs(out - M @ z)) <= 1e-14 * np.max(np.abs(M)) * np.sum(np.abs(z))
@@ -290,7 +336,7 @@ def test_lanczos_stops_at_its_first_check(monkeypatch, spec, m):
     grid = midpoint_grid(m)
     for count, most in ((1, 7), (5, 15)):
         steps.clear()
-        got = nystrom_spectrum(spec, grid, count).values
+        got = _lanczos(spec, grid, count)
         assert len(steps) <= most, (count, len(steps))
         if m == 500:
             dense = np.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
@@ -317,9 +363,8 @@ def _lanczos_inputs(draw):
 @given(_lanczos_inputs())
 def test_lanczos_matches_dense_eigvalsh_at_drawn_sizes(inputs):
     spec, grid, count = inputs
-    assert nystrom_solver(spec, grid, count) == "lanczos"
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
-    got = nystrom_spectrum(spec, grid, count).values
+    got = _lanczos(spec, grid, count)
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
 
 
