@@ -108,6 +108,13 @@ def c02_oracle_agreement(perturb=False):
     rows.append(_close("2", "cosh rule gate: refined lambda_3 vs 1/(1+4 pi^2)",
                        1.0 / (1.0 + 4.0 * math.pi ** 2),
                        gate.eigensequence.values[2], 1e-5, perturb))
+    # at m = 16000 and 32000 the O(m^-4) term left after refinement is far below 1e-10
+    for spec in specs[:2]:
+        refined = richardson_refine(spec, 3, [16000, 32000]).eigensequence.values
+        analytic = family_eigenvalues(spec, 3).values
+        rel = float(np.max(np.abs(refined - analytic) / analytic))
+        rows.append(_close("2", f"richardson [16000, 32000] vs analytic, first 3 ({spec.label()})",
+                           0.0, rel, 1e-10, perturb))
     return rows
 
 

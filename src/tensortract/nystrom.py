@@ -13,17 +13,22 @@ count alone (see `nystrom_solver`):
     korobov                          any count      circulant-fft
     sobolev-cosh                     any count      cosine-fft
     brownian-min                     any count      sine-fft
-    sobolev-min, sobolev-distance    count <= m/6   lanczos
-    sobolev-min, sobolev-distance    count > m/6    dense eigvalsh
+    sobolev-min                      any count      secular
+    sobolev-distance, a in {0, 1}    any count      secular
+    sobolev-distance, 0 < a < 1      count <= m/6   lanczos
+    sobolev-distance, 0 < a < 1      count > m/6    dense eigvalsh
 
-The three FFT solvers read all m eigenvalues off one real FFT, and dense
+The three FFT solvers read all m eigenvalues off one real FFT.  `secular`
+solves the closed-form characteristic equation of the 1 + min(x, y) Gram
+(see `eigensolve._min_kernel_roots`) in O(count), with no m-sized array; the
+anchors a = 0 and 1 have that Gram up to a reflection of the grid.  Dense
 `eigvalsh` is the oracle every other solver is tested against.
 
 Lanczos stops once each of the `count` top Ritz values has an error bound
 of at most eps theta_max: r^2 / delta (Kato-Temple), with r the residual
 bound and delta the gap to the neighbouring Ritz values less their own r,
 or r itself where delta <= r.  It checks after 2 count + 5 steps and then
-every 5 steps.
+every 5 steps, and at the latest stops at m steps, where it is exact.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .eigensolve import _min_kernel_roots
 from .errors import NumericError, ParameterError
 from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_factors
 
@@ -47,8 +53,7 @@ from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_fa
 # m/5 Lanczos ties at m = 500 but takes 141-155 against 112-123 ms at 1000
 # and 1108-1182 against 866-881 ms at 2000).
 _LANCZOS_MAX_SHARE = 1 / 6
-_LANCZOS_CHECK = 5        # steps between Lanczos convergence checks, the first after 2 count + 5
-_LANCZOS_MAX_STEPS = 50   # step cap, in multiples of count
+_LANCZOS_CHECK = 5   # steps between Lanczos convergence checks, the first after 2 count + 5
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,13 @@ _FFT_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brown
 def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
     """The eigensolver `nystrom_spectrum` uses for these inputs, as tabled in
     the module docstring.  A real FFT diagonalizes the korobov, sobolev-cosh
-    and brownian-min Grams at every count (see `_fft_eigenvalues`); the other
-    two kernels have simple eigenvalues, which Lanczos finds up to m/6."""
+    and brownian-min Grams at every count (see `_fft_eigenvalues`), and a
+    scalar equation gives the 1 + min(x, y) Gram's (see `_secular_eigenvalues`);
+    an interior anchor has simple eigenvalues, which Lanczos finds up to m/6."""
     if spec.family in _FFT_SOLVERS:
         return _FFT_SOLVERS[spec.family]
+    if spec.family == "sobolev-min" or spec.a in (0.0, 1.0):
+        return "secular"
     return "lanczos" if count <= _LANCZOS_MAX_SHARE * len(grid) else "dense"
 
 
@@ -126,6 +134,19 @@ def _fft_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     half_t = n / (2 * m)
     c = _kernel(spec, 1.0, 1.0) - 2.0 * _kernel(spec, half_t, half_t)
     return np.fft.rfft(np.concatenate([c, -c])).real[1:2 * m:2] / (4 * m)
+
+
+def _secular_eigenvalues(grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of the weighted 1 + min(x, y) Gram,
+    1 / (4 m^2 sin^2(alpha_j / 2m)) with alpha_j the roots of
+    2m tan(alpha / 2m) tan alpha = 1 (see `eigensolve._min_kernel_roots`).
+
+    sobolev-distance has this Gram at a = 0, where its generators are
+    sobolev-min's, and at a = 1, where K(x, y) = 2 - max(x, y) is sobolev-min's
+    kernel at (1 - x, 1 - y): the midpoint grid maps onto itself under
+    x -> 1 - x, so the Gram is sobolev-min's with rows and columns reversed."""
+    m = len(grid)
+    return (2.0 * m * np.sin(_min_kernel_roots(count, m) / (2 * m))) ** -2
 
 
 def _min_max_matvec(gather, weights, z, out):
@@ -195,8 +216,6 @@ def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
             bound = np.divide(r * r, delta, out=r, where=delta > r)
             if k == m or np.all(bound[-count:] <= eps * theta[-1]):
                 return theta[-count:]
-            if k >= _LANCZOS_MAX_STEPS * count:
-                raise NumericError(f"Lanczos did not converge in {k} steps")
         if beta[k - 1] <= eps * scale:
             raise NumericError(f"Lanczos broke down after {k} of {m} steps")
         w /= beta[k - 1]
@@ -211,6 +230,8 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
     solver = nystrom_solver(spec, grid, count)
     if solver.endswith("-fft"):
         vals = _fft_eigenvalues(spec, grid)
+    elif solver == "secular":
+        vals = _secular_eigenvalues(grid, count)
     elif solver == "lanczos":
         vals = _lanczos_eigenvalues(spec, grid, count)
     else:

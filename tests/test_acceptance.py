@@ -73,6 +73,12 @@ def test_fail_hook_is_a_working_negative_control():
     assert all(not r.passed for r in rows)
 
 
+def test_fail_hook_fails_every_oracle_row():
+    rows = acceptance.run_all(only={"2"}, fail="2")
+    assert len(rows) == 8 and not any(r.passed for r in rows)
+    assert sum("[16000, 32000]" in r.description for r in rows) == 2
+
+
 def test_run_all_covers_every_criterion():
     rows = acceptance.run_all(only={"1", "3"})
     assert {r.criterion_id for r in rows} == {"1", "3"}

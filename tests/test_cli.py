@@ -65,6 +65,15 @@ def test_eigs_solves_each_root_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["exact_decay"] == 2.0
 
 
+def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):
+    # the secular solver never forms an m-sized array, and at m = 10^15 the
+    # O(m^-2) quadrature error is far below double precision
+    assert run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", str(10 ** 15),
+                "--count", "5", "--format", "json"]) == 0
+    got = [row["lambda"] for row in json.loads(capsys.readouterr().out)["eigenvalues"]]
+    np.testing.assert_allclose(got, sobolev_min_eigenvalues(5).values, rtol=1e-12)
+
+
 def test_oracle_eigs_small_grid(tmp_path):
     out = tmp_path / "oracle.csv"
     assert run(["oracle-eigs", "--family", "sobolev-min", "--count", "2",
@@ -84,13 +93,18 @@ def test_oracle_eigs_refine(tmp_path):
 
 
 @pytest.mark.parametrize("args, solver", [
-    (["--family", "sobolev-min", "--grid-size", "200"], "lanczos"),
+    (["--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "200"], "lanczos"),
     (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"],
      "circulant-fft"),
     (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "dense"),
-    (["--family", "sobolev-min", "--count", "3", "--refine", "10,20"], "dense+lanczos"),
+    (["--family", "sobolev-distance", "--anchor", "0.5", "--count", "3", "--refine", "10,20"],
+     "dense+lanczos"),
     (["--family", "sobolev-cosh", "--grid-size", "20"], "cosine-fft"),
     (["--family", "brownian-min", "--grid-size", "20"], "sine-fft"),
+    (["--family", "sobolev-min", "--grid-size", "200", "--count", "200"], "secular"),
+    (["--family", "sobolev-distance", "--anchor", "0", "--grid-size", "20"], "secular"),
+    (["--family", "sobolev-distance", "--anchor", "1", "--count", "3", "--refine", "10,20"],
+     "secular"),
 ])
 def test_oracle_eigs_reports_its_solver(capsys, args, solver):
     assert run(["oracle-eigs", "--format", "json"] + args) == 0
@@ -295,7 +309,7 @@ def test_json_output_is_strict(tmp_path):
 
 def test_memory_exhaustion_exit_code(capsys):
     # 10^15 nodes need 8 PB, past any address space: the allocation fails at once
-    assert run(["oracle-eigs", "--grid-size", str(10 ** 15)]) == 3
+    assert run(["oracle-eigs", "--family", "sobolev-cosh", "--grid-size", str(10 ** 15)]) == 3
     assert capsys.readouterr().err.startswith("resource limit: out of memory")
 
 
@@ -537,6 +551,8 @@ run(["verify-reduction", "--problems", "3", "--trials", "2", "--samples", "5"])
 run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
      "--grid-size", "64"])
 run(["oracle-eigs", "--grid-size", "400"])
+run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "3000", "--count", "3000"])
+run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "1000000", "--count", "5"])
 run(["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "400"])
 small = scipy_modules()
 run(["reproduce"])

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
 from tensortract import (KernelSpec, ParameterError, kernel_eval, korobov_eigenvalues,
                          sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
-                         sobolev_min_eigenpair, solve_cot_root)
+                         sobolev_min_eigenpair, sobolev_min_eigenvalues, solve_cot_root)
 
 # frozen by an independent 200-iteration bisection of cot x - x
 ALPHA1 = 0.8603335890193797
@@ -43,6 +44,23 @@ def test_root_residual_and_interlacing():
 def test_roots_monotone():
     roots = [solve_cot_root(j) for j in range(1, 30)]
     assert all(b > a for a, b in zip(roots, roots[1:]))
+
+
+def test_vectorized_roots_match_the_scalar_solver():
+    got = sobolev_min_eigenvalues(2000).values
+    ref = np.array([solve_cot_root(j) ** -2 for j in range(1, 2001)])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 10, 1000, 2 ** 16])
+def test_vectorized_roots_match_mpmath(j):
+    got = sobolev_min_eigenvalues(j).values[-1]
+    with mpmath.workdps(40):
+        c, tiny = (j - 1) * mpmath.pi, mpmath.mpf("1e-30")
+        y = mpmath.findroot(lambda y: y - mpmath.atan(1 / (c + y)),
+                            (tiny, mpmath.pi / 2 - tiny), solver="anderson")
+        ref = (c + y) ** -2
+        assert abs(float((got - ref) / ref)) <= 1e-15
 
 
 def test_invalid_root_index():

@@ -1,9 +1,10 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenvalues,
                          midpoint_grid, nystrom_spectrum, richardson_refine)
@@ -15,6 +16,7 @@ MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
 KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)
 BROWNIAN = KernelSpec("brownian-min")
+HALF = KernelSpec("sobolev-distance", a=0.5)   # an interior anchor: Lanczos or dense
 
 
 def test_midpoint_grid_shape():
@@ -138,7 +140,7 @@ def test_oracle_distance_kernel_anchor_zero_equals_min_kernel():
 # ---------------------------------------------------------------------------
 
 ALL_FAMILIES = [MIN, COSH, KernelSpec("korobov", alpha=0.75, beta=0.5),
-                KernelSpec("sobolev-distance", a=0.3), KernelSpec("sobolev-distance", a=0.5),
+                KernelSpec("sobolev-distance", a=0.3), HALF, KernelSpec("sobolev-distance", a=1.0),
                 KernelSpec("brownian-min")]
 
 
@@ -175,12 +177,17 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
 def test_solver_choice():
     # the largest count Lanczos takes on each grid: m/6 rounded down
     last_lanczos = {2: 0, 3: 0, 7: 1, 64: 10, 100: 16, 500: 83}
-    fft = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft"}
+    fixed = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft",
+             "sobolev-min": "secular"}
+    specs = ALL_FAMILIES + [KernelSpec("sobolev-distance", a=a) for a in (0.0, 1e-12, 1 - 1e-12)]
     for m, last in last_lanczos.items():
         grid = midpoint_grid(m)
-        for spec in ALL_FAMILIES:
+        for spec in specs:
             for count in range(1, m + 1):
-                want = fft.get(spec.family, "lanczos" if count <= last else "dense")
+                if spec.a in (0.0, 1.0):   # the anchors at the ends have the sobolev-min Gram
+                    want = "secular"
+                else:
+                    want = fixed.get(spec.family, "lanczos" if count <= last else "dense")
                 assert nystrom_solver(spec, grid, count) == want, (spec.label(), m, count)
 
 
@@ -234,9 +241,9 @@ def test_trigonometric_ffts_match_closed_forms(m):
         assert np.max(np.abs(got - exact)) <= 1e-15 * exact[0], spec
 
 
-@pytest.mark.parametrize("spec, m", [(MIN, 2000), (KOR, 2000), (MIN, 20)])
+@pytest.mark.parametrize("spec, m", [(HALF, 2000), (KOR, 2000), (HALF, 20), (MIN, 2000)])
 def test_repeated_solves_are_bitwise_equal(spec, m):
-    grid = midpoint_grid(m)   # lanczos, circulant-fft, dense
+    grid = midpoint_grid(m)   # lanczos, circulant-fft, dense, secular
     a = nystrom_spectrum(spec, grid, 5).values
     b = nystrom_spectrum(spec, grid, 5).values
     assert a.tobytes() == b.tobytes()
@@ -269,15 +276,21 @@ def test_lanczos_extends_its_basis_until_converged(monkeypatch):
     x = midpoint_grid(m).nodes
     dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
     for count in (5, 16):   # 2 count + 10 steps are not enough for either
-        got = nystrom_spectrum(MIN, midpoint_grid(m), count).values
+        got = nystrom_spectrum(HALF, midpoint_grid(m), count).values
         assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
 
 
-def test_lanczos_step_cap_is_a_numeric_error(monkeypatch):
-    _ornstein_uhlenbeck(monkeypatch, 100 * np.log(2.0))
-    monkeypatch.setattr(nystrom, "_LANCZOS_MAX_STEPS", 1)
-    with pytest.raises(NumericError, match="did not converge in 15 steps"):
-        nystrom_spectrum(MIN, midpoint_grid(100), 5)
+def test_lanczos_runs_past_fifty_count_steps_on_a_clustered_spectrum(monkeypatch):
+    # a count-1 solve that needs 57 steps: Lanczos has no step cap below m,
+    # where the Krylov space is exhausted and the values are exact
+    m, c = 129, 89.0
+    _ornstein_uhlenbeck(monkeypatch, c)
+    steps = _record_products(monkeypatch)
+    x = midpoint_grid(m).nodes
+    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
+    got = nystrom_spectrum(HALF, midpoint_grid(m), 1).values
+    assert len(steps) > 50
+    assert abs(got[0] - dense[0]) <= 1e-12 * dense[0]
 
 
 LANCZOS_FAMILIES = [MIN, COSH, KernelSpec("sobolev-distance", a=0.0), KernelSpec("brownian-min")]
@@ -309,7 +322,7 @@ def test_min_max_matvec_sums_tails_backwards(monkeypatch):
     m, c = 100, 100 * np.log(2.0)
     _ornstein_uhlenbeck(monkeypatch, c)
     x = midpoint_grid(m).nodes
-    _check_products(monkeypatch, MIN, midpoint_grid(m), np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)
+    _check_products(monkeypatch, HALF, midpoint_grid(m), np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)
 
 
 def _lanczos(spec, grid, count):
@@ -347,7 +360,7 @@ def test_lanczos_breakdown_is_a_numeric_error(monkeypatch):
     # the zero kernel maps the start vector to 0: the Krylov space stops at one vector
     monkeypatch.setattr(nystrom, "min_max_factors", lambda spec: (np.zeros_like, np.ones_like))
     with pytest.raises(NumericError, match="broke down after 1 of 100 steps"):
-        nystrom_spectrum(MIN, midpoint_grid(100), 5)
+        nystrom_spectrum(HALF, midpoint_grid(100), 5)
 
 
 @st.composite
@@ -376,7 +389,6 @@ def _clustered_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_clustered_inputs())
-@example((129, 89.0, 1))   # needs 57 steps: refused by the cap of 50 count
 def test_lanczos_matches_dense_eigvalsh_on_clustered_spectra(inputs):
     # exp(-c |x - y|): as c grows the top eigenvalues crowd together, and the
     # gap each Ritz value sees to its neighbours shrinks
@@ -385,12 +397,43 @@ def test_lanczos_matches_dense_eigvalsh_on_clustered_spectra(inputs):
     dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _ornstein_uhlenbeck(monkeypatch, c)
-        try:
-            got = nystrom_spectrum(MIN, midpoint_grid(m), count).values
-        except NumericError as exc:
-            # the step cap may refuse a crowded count-1 solve, but loudly: an
-            # answer that is given must be right
-            assert str(exc).startswith("Lanczos did not converge in ")
-            assert int(str(exc).split()[-2]) >= nystrom._LANCZOS_MAX_STEPS * count
-            return
+        got = nystrom_spectrum(HALF, midpoint_grid(m), count).values
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+# ---------------------------------------------------------------------------
+# the secular solver for the 1 + min(x, y) Gram
+# ---------------------------------------------------------------------------
+
+END_ANCHORS = [MIN, KernelSpec("sobolev-distance", a=0.0), KernelSpec("sobolev-distance", a=1.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(END_ANCHORS), st.data())
+def test_secular_matches_dense_eigvalsh(spec, data):
+    m = data.draw(st.integers(1, 600))
+    count = data.draw(st.integers(1, m))
+    grid = midpoint_grid(m)
+    assert nystrom_solver(spec, grid, count) == "secular"
+    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+    got = nystrom_spectrum(spec, grid, count).values
+    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+def _secular_eigenvalue_mpmath(m, j):
+    """lambda_j of the m-point 1 + min(x, y) Gram at 40 digits: the root of
+    2m tan(alpha / 2m) tan alpha = 1 in ((j - 1) pi, (j - 1/2) pi), found by
+    a bracketing solver on y = alpha - (j - 1) pi."""
+    with mpmath.workdps(40):
+        c, tiny = (j - 1) * mpmath.pi, mpmath.mpf("1e-30")
+        y = mpmath.findroot(lambda y: y - mpmath.atan(1 / (2 * m * mpmath.tan((c + y) / (2 * m)))),
+                            (tiny, mpmath.pi / 2 - tiny), solver="anderson")
+        return 1 / (2 * m * mpmath.sin((c + y) / (2 * m))) ** 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 500, 2000, 10 ** 5, 10 ** 6])
+def test_secular_roots_match_mpmath(m):
+    got = nystrom_spectrum(MIN, midpoint_grid(m), m).values
+    for j in sorted({1, 2, 3, max(m // 2, 1), max(m - 1, 1), m} & set(range(1, m + 1))):
+        ref = _secular_eigenvalue_mpmath(m, j)
+        assert abs(float((got[j - 1] - ref) / ref)) <= 1e-15, j
