@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .spectra import Eigenpair, EigenSequence, KernelSpec
+from .spectra import Eigenpair, EigenSequence, KernelSpec, _check_count
 
 # The families with an analytic eigenvalue and eigenpair rule.
 ANALYTIC_FAMILIES = ("sobolev-min", "sobolev-cosh", "korobov")
@@ -116,8 +116,7 @@ def sobolev_min_eigenpair(j: int) -> Eigenpair:
 
 
 def sobolev_min_eigenvalues(count: int) -> EigenSequence:
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    _check_count(count)
     return EigenSequence(_min_kernel_roots(count) ** -2, source="analytic-rule", exact_decay=2.0)
 
 
@@ -142,8 +141,7 @@ def sobolev_cosh_eigenpair(j: int) -> Eigenpair:
 def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
     """{1, 1/(1+pi^2), 1/(1+4 pi^2), ...}; certified against the quadrature
     oracle before being relied on (see the nystrom module tests)."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    _check_count(count)
     j = np.arange(count, dtype=float)
     vals = 1.0 / (1.0 + (math.pi * j) ** 2)
     return EigenSequence(vals, source="analytic-rule", exact_decay=2.0)
@@ -151,8 +149,7 @@ def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
 
 def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
     """{1} followed by beta * k^(-2 alpha), each with multiplicity 2."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    _check_count(count)
     KernelSpec("korobov", alpha=alpha, beta=beta)   # validates alpha and beta
     kmax = (count + 1) // 2
     pairs = beta * np.arange(1, kmax + 1, dtype=float) ** (-2.0 * alpha)

@@ -11,18 +11,21 @@ approximation, and Richardson extrapolation sharpens them.
 count alone (see `nystrom_solver`):
 
     korobov                          any count      circulant-fft
-    sobolev-cosh                     any count      cosine-fft
-    brownian-min                     any count      sine-fft
+    sobolev-cosh                     any count      dct
+    brownian-min                     any count      dst
     sobolev-min                      any count      secular
     sobolev-distance, a in {0, 1}    any count      secular
     sobolev-distance, 0 < a < 1      count <= m/6   lanczos
     sobolev-distance, 0 < a < 1      count > m/6    dense eigvalsh
 
-The three FFT solvers read all m eigenvalues off one real FFT.  `secular`
-solves the closed-form characteristic equation of the 1 + min(x, y) Gram
-(see `eigensolve._min_kernel_roots`) in O(count), with no m-sized array; the
-anchors a = 0 and 1 have that Gram up to a reflection of the grid.  Dense
-`eigvalsh` is the oracle every other solver is tested against.
+`circulant-fft` reads all m eigenvalues off one real FFT.  `dct` and `dst`
+evaluate the closed forms of the sobolev-cosh and brownian-min spectra (see
+`_trigonometric_eigenvalues`), and `secular` solves the closed-form
+characteristic equation of the 1 + min(x, y) Gram (see
+`eigensolve._min_kernel_roots`); these three take O(count), with no m-sized
+array.  The anchors a = 0 and 1 have the 1 + min(x, y) Gram up to a
+reflection of the grid.  Dense `eigvalsh` is the oracle every other solver
+is tested against.
 
 Lanczos stops once each of the `count` top Ritz values has an error bound
 of at most eps theta_max: r^2 / delta (Kato-Temple), with r the residual
@@ -43,7 +46,7 @@ import numpy as np
 
 from .eigensolve import _min_kernel_roots
 from .errors import NumericError, ParameterError
-from .spectra import EigenSequence, KernelSpec, _kernel, gram_matrix, min_max_factors
+from .spectra import EigenSequence, KernelSpec, _check_count, _kernel, gram_matrix, min_max_factors
 
 # Lanczos keeps a basis of about 2 count + 5 rows and orthogonalizes every
 # step against it twice, so past count = m/6 dense eigvalsh can win
@@ -90,50 +93,59 @@ def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray
     return d * gram_matrix(spec, grid.nodes) * d
 
 
-_FFT_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft"}
+_FAMILY_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst"}
 
 
 def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
     """The eigensolver `nystrom_spectrum` uses for these inputs, as tabled in
-    the module docstring.  A real FFT diagonalizes the korobov, sobolev-cosh
-    and brownian-min Grams at every count (see `_fft_eigenvalues`), and a
-    scalar equation gives the 1 + min(x, y) Gram's (see `_secular_eigenvalues`);
-    an interior anchor has simple eigenvalues, which Lanczos finds up to m/6."""
-    if spec.family in _FFT_SOLVERS:
-        return _FFT_SOLVERS[spec.family]
+    the module docstring.  Every Gram but an interior anchor's has a solver
+    that serves every count; an interior anchor has simple eigenvalues,
+    which Lanczos finds up to m/6."""
+    if spec.family in _FAMILY_SOLVERS:
+        return _FAMILY_SOLVERS[spec.family]
     if spec.family == "sobolev-min" or spec.a in (0.0, 1.0):
         return "secular"
     return "lanczos" if count <= _LANCZOS_MAX_SHARE * len(grid) else "dense"
 
 
-def _fft_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """All m eigenvalues of d K d, d = sqrt(1/m), from the real DFT of one
-    periodic symbol c sampled at n/m.
+def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """All m eigenvalues of the korobov d K d, d = sqrt(1/m).  On the midpoint
+    rule x_i - x_j = (i - j)/m, so K = c(x - y) with c even and 1-periodic is
+    circulant: its eigenvalues are the real DFT of the first Gram row, and
+    mirroring that pairs bin k with bin m - k exactly."""
+    m = len(grid)
+    half = np.fft.rfft(_kernel(spec, grid.nodes[0], grid.nodes)).real / m
+    return np.concatenate([half, half[1:(m + 1) // 2]])
+
+
+def _trigonometric_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of d K d, d = sqrt(1/m), for
+    sobolev-cosh and brownian-min, largest first, in O(count).
 
     On the midpoint rule x_i - x_j = (i - j)/m and x_i + x_j = (i + j + 1)/m,
-    so a Gram matrix c(x - y) +- c(x + y) is Toeplitz +- Hankel: the circulant
-    of c(n/m) over one period, folded onto the vectors symmetric about the
-    grid's ends (Strang, The Discrete Cosine Transform, SIAM Review 41, 1999):
+    so both Grams are Toeplitz +- Hankel, K = [c(x - y) +- c(x + y)] / 2: the
+    circulant of c(n/m) folded onto the vectors symmetric about the grid's
+    ends, which the DCT-II and DST-IV diagonalize (Strang, The Discrete
+    Cosine Transform, SIAM Review 41, 1999).  Both spectra fall with k, so
+    the top `count` are k = 0 .. count - 1.
 
-    korobov       K = c(x - y), c even and 1-periodic: the DFT of the first
-                  Gram row; mirroring it pairs k with m - k exactly.
-    sobolev-cosh  K = [c(x - y) + c(x + y)] / 2 with c(t) = K(min(t, 2 - t), 0)
-                  even and 2-periodic: bins 0 .. m - 1 of the 2m samples.
-    brownian-min  K = [c(x - y) - c(x + y)] / 2 with c(t) = K(1, 1) - 2 K(t/2, t/2)
-                  on [0, 2) and c(t + 2) = -c(t), so 4-periodic: the odd
-                  bins 1 .. 2m - 1 of the 4m samples.
+    brownian-min  K = min(x, y), the DST-IV symbol:
+                  lambda_k = 1 / (4 m^2 sin^2((2k + 1) pi / 4m)).
+    sobolev-cosh  c(t) = cosh(1 - |t|) / sinh 1, 2-periodic, and lambda_k is
+                  bin k of the DFT of c_n = c(n/m), n = 0 .. 2m - 1, over 2m.
+                  c_(n+1) + c_(n-1) = 2 cosh(1/m) c_n at every n but n = 0
+                  (mod 2m), where the left side falls short by 2 sinh(1/m);
+                  so the DFT is sinh(1/m) / (cosh(1/m) - cos(pi k / m)), and
+                  cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2) gives
+                  lambda_k = sinh(1/m) / (4m (sinh^2(1/2m) + sin^2(pi k / 2m)))
+                  with no cancellation.  As m grows it tends to
+                  1 / (1 + pi^2 k^2), the analytic rule.
     """
-    m = len(grid)
-    if spec.family == "korobov":
-        half = np.fft.rfft(_kernel(spec, grid.nodes[0], grid.nodes)).real / m
-        return np.concatenate([half, half[1:(m + 1) // 2]])
-    n = np.arange(2 * m)
-    if spec.family == "sobolev-cosh":
-        c = _kernel(spec, np.minimum(n, 2 * m - n) / m, 0.0)
-        return np.fft.rfft(c).real[:m] / (2 * m)
-    half_t = n / (2 * m)
-    c = _kernel(spec, 1.0, 1.0) - 2.0 * _kernel(spec, half_t, half_t)
-    return np.fft.rfft(np.concatenate([c, -c])).real[1:2 * m:2] / (4 * m)
+    m, k = len(grid), np.arange(count)
+    if spec.family == "brownian-min":
+        return (2.0 * m * np.sin((2 * k + 1) * (math.pi / (4 * m)))) ** -2
+    sin_half = np.sin(k * (math.pi / (2 * m)))
+    return math.sinh(1.0 / m) / (4.0 * m * (math.sinh(0.5 / m) ** 2 + sin_half * sin_half))
 
 
 def _secular_eigenvalues(grid: QuadratureGrid, count: int) -> np.ndarray:
@@ -223,13 +235,14 @@ def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
 
 def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> EigenSequence:
     """The `count` largest eigenvalues of the discretized integral operator."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
+    _check_count(count)
     if count > len(grid):
         raise ParameterError(f"count {count} exceeds grid size {len(grid)}")
     solver = nystrom_solver(spec, grid, count)
-    if solver.endswith("-fft"):
-        vals = _fft_eigenvalues(spec, grid)
+    if solver == "circulant-fft":
+        vals = _circulant_eigenvalues(spec, grid)
+    elif solver in ("dct", "dst"):
+        vals = _trigonometric_eigenvalues(spec, grid, count)
     elif solver == "secular":
         vals = _secular_eigenvalues(grid, count)
     elif solver == "lanczos":
@@ -241,8 +254,7 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
     vals = np.sort(vals)[::-1][:count]
     # a PSD kernel may produce O(eps)-negative eigenvalues at the bottom
-    floor = -1e-10 * max(vals[0], 0.0)
-    if np.any(vals < floor):
+    if vals[-1] < -1e-10 * max(vals[0], 0.0):
         raise NumericError("kernel matrix has significantly negative eigenvalues")
     return EigenSequence(np.maximum(vals, 0.0), source="numeric")
 

@@ -8,6 +8,7 @@ data-parallel use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -88,15 +89,18 @@ class EigenSequence:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("eigenvalue list must be a nonempty vector")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ParameterError("eigenvalues must be finite")
         if self.source not in ("analytic-rule", "numeric", "user-supplied"):
             raise ParameterError(f"unknown source tag {self.source!r}")
         if not vals[0] > 0.0:
             raise ParameterError("leading eigenvalue must be positive")
-        if np.any(vals < 0.0):
+        # a nonincreasing list has its minimum last, so only a list with a
+        # rise needs the full scan for the (first reported) negative value
+        rises = (vals[1:] > vals[:-1]).any()
+        if vals[-1] < 0.0 or rises and (vals < 0.0).any():
             raise ParameterError("eigenvalues must be nonnegative")
-        if np.any(np.diff(vals) > 0.0):
+        if rises:
             raise ParameterError("eigenvalues must be nonincreasing")
 
     def __len__(self) -> int:
@@ -119,6 +123,12 @@ class Eigenpair:
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))
+
+
+def _check_count(count) -> None:
+    """Raise ParameterError unless count is an integer >= 1."""
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ParameterError(f"count must be an integer >= 1, got {count!r}")
 
 
 def _unit_points(points) -> np.ndarray:

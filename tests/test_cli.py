@@ -99,8 +99,8 @@ def test_oracle_eigs_refine(tmp_path):
     (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "dense"),
     (["--family", "sobolev-distance", "--anchor", "0.5", "--count", "3", "--refine", "10,20"],
      "dense+lanczos"),
-    (["--family", "sobolev-cosh", "--grid-size", "20"], "cosine-fft"),
-    (["--family", "brownian-min", "--grid-size", "20"], "sine-fft"),
+    (["--family", "sobolev-cosh", "--grid-size", "20"], "dct"),
+    (["--family", "brownian-min", "--grid-size", "20"], "dst"),
     (["--family", "sobolev-min", "--grid-size", "200", "--count", "200"], "secular"),
     (["--family", "sobolev-distance", "--anchor", "0", "--grid-size", "20"], "secular"),
     (["--family", "sobolev-distance", "--anchor", "1", "--count", "3", "--refine", "10,20"],
@@ -308,8 +308,10 @@ def test_json_output_is_strict(tmp_path):
 
 
 def test_memory_exhaustion_exit_code(capsys):
-    # 10^15 nodes need 8 PB, past any address space: the allocation fails at once
-    assert run(["oracle-eigs", "--family", "sobolev-cosh", "--grid-size", str(10 ** 15)]) == 3
+    # 10^15 nodes need 8 PB, past any address space: the allocation fails at
+    # once (korobov's circulant FFT needs every node; the closed forms need none)
+    assert run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
+                "--grid-size", str(10 ** 15)]) == 3
     assert capsys.readouterr().err.startswith("resource limit: out of memory")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenvalues,
-                         midpoint_grid, nystrom_spectrum, richardson_refine)
+                         korobov_eigenvalues, midpoint_grid, nystrom_spectrum, richardson_refine,
+                         sobolev_cosh_eigenvalues, sobolev_min_eigenvalues)
 from tensortract import nystrom
 from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
 from tensortract.spectra import _kernel
@@ -177,7 +179,7 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
 def test_solver_choice():
     # the largest count Lanczos takes on each grid: m/6 rounded down
     last_lanczos = {2: 0, 3: 0, 7: 1, 64: 10, 100: 16, 500: 83}
-    fixed = {"korobov": "circulant-fft", "sobolev-cosh": "cosine-fft", "brownian-min": "sine-fft",
+    fixed = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
              "sobolev-min": "secular"}
     specs = ALL_FAMILIES + [KernelSpec("sobolev-distance", a=a) for a in (0.0, 1e-12, 1 - 1e-12)]
     for m, last in last_lanczos.items():
@@ -219,26 +221,85 @@ def test_reflection_identities_reproduce_the_weighted_gram(m):
         assert np.max(np.abs(0.5 * folded / m - M)) <= 4 * np.finfo(float).eps * np.max(M), spec
 
 
+def _trigonometric_fft(spec, m):
+    """All m eigenvalues of the weighted sobolev-cosh or brownian-min Gram
+    from the real DFT of one periodic symbol c sampled at n/m, in bin order.
+
+    On the midpoint rule x_i - x_j = (i - j)/m and x_i + x_j = (i + j + 1)/m,
+    so a Gram matrix c(x - y) +- c(x + y) is Toeplitz +- Hankel: the circulant
+    of c(n/m) over one period, folded onto the vectors symmetric about the
+    grid's ends (Strang, The Discrete Cosine Transform, SIAM Review 41, 1999):
+
+    sobolev-cosh  K = [c(x - y) + c(x + y)] / 2 with c(t) = K(min(t, 2 - t), 0)
+                  even and 2-periodic: bins 0 .. m - 1 of the 2m samples.
+    brownian-min  K = [c(x - y) - c(x + y)] / 2 with c(t) = K(1, 1) - 2 K(t/2, t/2)
+                  on [0, 2) and c(t + 2) = -c(t), so 4-periodic: the odd
+                  bins 1 .. 2m - 1 of the 4m samples.
+    """
+    n = np.arange(2 * m)
+    if spec.family == "sobolev-cosh":
+        c = _kernel(spec, np.minimum(n, 2 * m - n) / m, 0.0)
+        return np.fft.rfft(c).real[:m] / (2 * m)
+    half_t = n / (2 * m)
+    c = _kernel(spec, 1.0, 1.0) - 2.0 * _kernel(spec, half_t, half_t)
+    return np.fft.rfft(np.concatenate([c, -c])).real[1:2 * m:2] / (4 * m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([COSH, BROWNIAN]), st.data())
 def test_trigonometric_ffts_match_dense_eigvalsh(spec, data):
+    # the closed-form dct and dst solvers, and the FFT oracle behind them
     m = data.draw(st.integers(1, 600))
     count = data.draw(st.integers(1, m))
     grid = midpoint_grid(m)
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
     got = nystrom_spectrum(spec, grid, count).values
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+    fft = np.sort(_trigonometric_fft(spec, m))[::-1]
+    assert np.max(np.abs(fft - dense)) <= 1e-12 * dense[0]
 
 
 @pytest.mark.parametrize("m", [10 ** 5, 10 ** 6])
 def test_trigonometric_ffts_match_closed_forms(m):
-    # the midpoint Gram's own eigenvalues, where no dense solve fits
-    grid, k = midpoint_grid(m), np.arange(m)
-    brownian = 1.0 / (4.0 * m * m * np.sin((2 * k + 1) * np.pi / (4 * m)) ** 2)
-    cosh = np.sinh(1.0 / m) / (4.0 * m * (np.sinh(0.5 / m) ** 2 + np.sin(k * np.pi / (2 * m)) ** 2))
-    for spec, exact in ((BROWNIAN, brownian), (COSH, cosh)):
-        got = nystrom_spectrum(spec, grid, m).values
+    # the midpoint Gram's own eigenvalues, where no dense solve fits; both
+    # spectra fall with the bin, so the FFT's bin order is the solvers' order
+    for spec in (BROWNIAN, COSH):
+        exact = _trigonometric_fft(spec, m)
+        got = nystrom_spectrum(spec, midpoint_grid(m), m).values
         assert np.max(np.abs(got - exact)) <= 1e-15 * exact[0], spec
+
+
+@pytest.mark.parametrize("spec", [COSH, BROWNIAN], ids=lambda s: s.label())
+def test_closed_forms_at_a_petascale_grid_are_the_analytic_rules(spec):
+    # the O(m^-2) quadrature error at m = 10^15 is far below double precision
+    got = nystrom_spectrum(spec, midpoint_grid(10 ** 15), 5).values
+    j = np.arange(1, 6)
+    analytic = 1.0 / (1.0 + (np.pi * (j - 1)) ** 2) if spec == COSH else 1.0 / (np.pi * (j - 0.5)) ** 2
+    np.testing.assert_allclose(got, analytic, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [COSH, BROWNIAN, MIN], ids=lambda s: s.label())
+def test_closed_form_solvers_allocate_no_grid_sized_array(spec):
+    grid = midpoint_grid(10 ** 6)   # an m-sized float array alone takes 8 MB
+    tracemalloc.start()
+    try:
+        nystrom_spectrum(spec, grid, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), 0])
+@pytest.mark.parametrize("solve", [
+    sobolev_min_eigenvalues, sobolev_cosh_eigenvalues,
+    lambda count: korobov_eigenvalues(1.0, 0.5, count),
+    lambda count: nystrom_spectrum(COSH, midpoint_grid(10), count),
+    lambda count: richardson_refine(MIN, count, [10, 20]),
+], ids=["sobolev-min", "sobolev-cosh", "korobov", "nystrom", "richardson"])
+def test_count_is_a_positive_integer(solve, count):
+    with pytest.raises(ParameterError, match="count must be an integer >= 1"):
+        solve(count)
 
 
 @pytest.mark.parametrize("spec, m", [(HALF, 2000), (KOR, 2000), (HALF, 20), (MIN, 2000)])

@@ -202,6 +202,38 @@ def test_eigen_sequence_validator_property(values):
     assert np.all(np.diff(vals) <= 0.0)
 
 
+def _reference_validate(values):
+    """The full-scan EigenSequence validation, one numpy reduction per
+    invariant in the documented order: the oracle for the short-cut one."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ParameterError("eigenvalue list must be a nonempty vector")
+    if not np.all(np.isfinite(vals)):
+        raise ParameterError("eigenvalues must be finite")
+    if not vals[0] > 0.0:
+        raise ParameterError("leading eigenvalue must be positive")
+    if np.any(vals < 0.0):
+        raise ParameterError("eigenvalues must be nonnegative")
+    if np.any(np.diff(vals) > 0.0):
+        raise ParameterError("eigenvalues must be nonincreasing")
+
+
+def _verdict(validate, values):
+    try:
+        validate(values)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 0.5, -0.5]),
+                          st.floats(-2.0, 2.0)), max_size=6))
+def test_eigen_sequence_validator_matches_the_full_scan(values):
+    # NaN, infinities, negatives, zeros, ties and rises: the same verdict and message
+    assert _verdict(EigenSequence, values) == _verdict(_reference_validate, values)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 3.0])
 def test_korobov_higher_even_orders_match_direct_sum(alpha):
     spec = KernelSpec("korobov", alpha=alpha, beta=0.7)
