@@ -155,18 +155,13 @@ def cmd_oracle_eigs(args) -> int:
         errs = refined.error_estimates
         header = ["j", "lambda", "error_estimate"]
         rows = [[j + 1, float(v), float(e)] for j, (v, e) in enumerate(zip(values, errs))]
-        # the refinement solves the two finest grids, possibly by different solvers
-        solver = "+".join(sorted({nystrom_solver(spec, midpoint_grid(m), args.count)
-                                  for m in sizes[-2:]}))
     else:
-        grid = midpoint_grid(args.grid_size)
-        seq = nystrom_spectrum(spec, grid, args.count)
-        solver = nystrom_solver(spec, grid, args.count)
+        seq = nystrom_spectrum(spec, midpoint_grid(args.grid_size), args.count)
         header = ["j", "lambda"]
         rows = [[j + 1, float(v)] for j, v in enumerate(seq.values)]
     # --refine solves its own grids, never --grid-size
     grid_size = None if args.refine else args.grid_size
-    payload = {"family": spec.label(), "grid_size": grid_size, "solver": solver,
+    payload = {"family": spec.label(), "grid_size": grid_size, "solver": nystrom_solver(spec),
                "refine": args.refine or None,
                "eigenvalues": [dict(zip(header, row)) for row in rows]}
     _emit(args, header, rows, payload)

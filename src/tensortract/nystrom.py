@@ -3,35 +3,30 @@
 This is the independent numerical oracle for every analytic eigenvalue rule.
 Its one grid is the composite midpoint rule, nodes x_i = (i + 1/2)/m each
 with the weight 1/m, so a grid is its size m.  The eigenvalues of
-M_ij = K(x_i, x_j) / m converge at O(m^-2) to the spectrum of the integral
-operator with kernel K, the nonzero spectrum of W = S*S for L2
-approximation, and Richardson extrapolation sharpens them.
+M_ij = K(x_i, x_j) / m converge to the spectrum of the integral operator
+with kernel K, the nonzero spectrum of W = S*S for L2 approximation, at
+O(m^-2 alpha) for korobov and O(m^-2) for the other families, and
+Richardson extrapolation sharpens them.
 
-`nystrom_spectrum` picks its eigensolver, all numpy, from family, m and
-count alone (see `nystrom_solver`):
+`nystrom_spectrum` picks its eigensolver, all numpy, from the kernel alone
+(see `nystrom_solver`):
 
-    korobov                          any count      circulant-fft
-    sobolev-cosh                     any count      dct
-    brownian-min                     any count      dst
-    sobolev-min                      any count      secular
-    sobolev-distance, a in {0, 1}    any count      secular
-    sobolev-distance, 0 < a < 1      count <= m/6   lanczos
-    sobolev-distance, 0 < a < 1      count > m/6    dense eigvalsh
+    korobov                          circulant-fft
+    sobolev-cosh                     dct
+    brownian-min                     dst
+    sobolev-min                      secular
+    sobolev-distance, a in {0, 1}    secular
+    sobolev-distance, 0 < a < 1      anchored
 
 `circulant-fft` reads all m eigenvalues off one real FFT.  `dct` and `dst`
 evaluate the closed forms of the sobolev-cosh and brownian-min spectra (see
-`_trigonometric_eigenvalues`), and `secular` solves the closed-form
+`_trigonometric_eigenvalues`), `secular` solves the closed-form
 characteristic equation of the 1 + min(x, y) Gram (see
-`eigensolve._min_kernel_roots`); these three take O(count), with no m-sized
-array.  The anchors a = 0 and 1 have the 1 + min(x, y) Gram up to a
-reflection of the grid.  Dense `eigvalsh` is the oracle every other solver
-is tested against.
-
-Lanczos stops once each of the `count` top Ritz values has an error bound
-of at most eps theta_max: r^2 / delta (Kato-Temple), with r the residual
-bound and delta the gap to the neighbouring Ritz values less their own r,
-or r itself where delta <= r.  It checks after 2 count + 5 steps and then
-every 5 steps, and at the latest stops at m steps, where it is exact.
+`eigensolve._min_kernel_roots`), and `anchored` that of the two pinned
+blocks an interior anchor splits the grid into (see `_anchored_eigenvalues`);
+these four take O(count), with no m-sized array.  The anchors a = 0 and 1
+have the 1 + min(x, y) Gram up to a reflection of the grid.  The tests
+hold every solver to a dense eigensolve of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -44,19 +39,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigensolve import _min_kernel_roots
+from .eigensolve import _min_kernel_roots, family_exact_decay
 from .errors import NumericError, ParameterError
-from .spectra import EigenSequence, KernelSpec, _check_count, _kernel, gram_matrix, min_max_factors
+from .spectra import EigenSequence, KernelSpec, _check_count, _kernel
 
-# Lanczos keeps a basis of about 2 count + 5 rows and orthogonalizes every
-# step against it twice, so past count = m/6 dense eigvalsh can win
-# (sobolev-min, 2-core Xeon, one BLAS thread, Lanczos against dense, ranges
-# of 7 runs, 3 at m = 2000: at m/6 13-17 against 19-20 ms at m = 500, 76-94
-# against 104-128 ms at m = 1000, 811-835 against 849-861 ms at m = 2000; at
-# m/5 Lanczos ties at m = 500 but takes 141-155 against 112-123 ms at 1000
-# and 1108-1182 against 866-881 ms at 2000).
-_LANCZOS_MAX_SHARE = 1 / 6
-_LANCZOS_CHECK = 5   # steps between Lanczos convergence checks, the first after 2 count + 5
+# Newton steps `_anchored_eigenvalues` may take: 500 random grids of up to
+# 600 points, anchors and counts needed at most 16, all 10^6 roots at
+# m = 10^6 needed 28.
+_ANCHORED_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -74,11 +64,6 @@ class QuadratureGrid:
         """The cell midpoints (i + 1/2) / m, increasing."""
         return (np.arange(self.m) + 0.5) / self.m
 
-    @property
-    def weight(self) -> float:
-        """The weight 1/m of every node."""
-        return 1.0 / self.m
-
     def __len__(self) -> int:
         return self.m
 
@@ -86,26 +71,16 @@ class QuadratureGrid:
 midpoint_grid = QuadratureGrid   # the constructor every caller uses
 
 
-def weighted_kernel_matrix(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """d G d with the scalar d = sqrt(1/m): exactly symmetric, as the Gram
-    matrix G is."""
-    d = math.sqrt(grid.weight)
-    return d * gram_matrix(spec, grid.nodes) * d
+_FAMILY_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
+                   "sobolev-min": "secular"}
 
 
-_FAMILY_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst"}
-
-
-def nystrom_solver(spec: KernelSpec, grid: QuadratureGrid, count: int) -> str:
-    """The eigensolver `nystrom_spectrum` uses for these inputs, as tabled in
-    the module docstring.  Every Gram but an interior anchor's has a solver
-    that serves every count; an interior anchor has simple eigenvalues,
-    which Lanczos finds up to m/6."""
+def nystrom_solver(spec: KernelSpec) -> str:
+    """The eigensolver `nystrom_spectrum` uses for this kernel, as tabled in
+    the module docstring.  Each serves every grid size and count."""
     if spec.family in _FAMILY_SOLVERS:
         return _FAMILY_SOLVERS[spec.family]
-    if spec.family == "sobolev-min" or spec.a in (0.0, 1.0):
-        return "secular"
-    return "lanczos" if count <= _LANCZOS_MAX_SHARE * len(grid) else "dense"
+    return "secular" if spec.a in (0.0, 1.0) else "anchored"
 
 
 def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
@@ -161,76 +136,67 @@ def _secular_eigenvalues(grid: QuadratureGrid, count: int) -> np.ndarray:
     return (2.0 * m * np.sin(_min_kernel_roots(count, m) / (2 * m))) ** -2
 
 
-def _min_max_matvec(gather, weights, z, out):
-    """out = d K d z for K_ij = u_min(i,j) v_max(i,j) on increasing nodes,
-    (K z)_i = v_i sum_{j<=i} u_j z_j + u_i sum_{j>i} v_j z_j.
+def _anchored_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of d K d, d = sqrt(1/m), for
+    sobolev-distance with 0 < a < 1, largest first, in O(count).
 
-    Row 0 of weights[0] * z[gather] holds d u_i z_i and row 1 holds d v_j z_j
-    from j = m - 1 down to 1 after a zero, so one cumsum gives the head sums
-    and, read backwards, the tail sums; weights[1] then applies d v_i and
-    d u_i, the latter reversed to match."""
-    sums = weights[0] * z[gather]
-    np.cumsum(sums, axis=1, out=sums)
-    sums *= weights[1]
-    np.add(sums[0], sums[1, ::-1], out=out)
+    K = 1 + B with B(x, y) = min(|x - a|, |y - a|) for x and y on one side of
+    a and 0 across it.  The p nodes below a and the q = m - p others (a node
+    at a among them) lie at the distances t_k = (k + 1/2)/m + e below a and
+    (k + 1/2)/m - e above it, k = 0, 1, ... outwards, e = a - p/m in
+    [-1/2m, 1/2m].  On a side of n nodes sum_l min(t_k, t_l) z_l has the first
+    differences sum_(l>k) z_l / m, so with lambda = 1 / (4 m^2 sin^2(theta/2))
+    an eigenvector of M = (J + B)/m obeys w_(k+1) + w_(k-1) = 2 cos(theta) w_k
+    on the side and w_n = w_(n-1) past its free end: w_k = A cos((n - k - 1/2) theta),
+    summing to A sin(n theta) / (2 sin(theta/2)).  The rows of the two nodes
+    nearest a, lambda w_0 = (sum_grid v + t_0 sum_side w) / m, then read,
+    multiplied by 4 m^2 sin^2(theta/2) / cos(theta/2),
+        E_q A_q = h sin(p theta) A_p,   E_p A_p = h sin(q theta) A_q,
+        E_p = cos(p theta) - h (1 + e) sin(p theta),
+        E_q = cos(q theta) - h (1 - e) sin(q theta),   h = 2m tan(theta/2),
+    so lambda is an eigenvalue iff phi = E_p E_q - h^2 sin(p theta) sin(q theta)
+    is 0.  An empty side drops out, its sine being 0, and at a = 0 or 1 this
+    is `secular`'s 2m tan(theta/2) tan(m theta) = 1.
 
-
-def _lanczos_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
-    """The `count` largest eigenvalues of d K d, d = sqrt(1/m), by Lanczos
-    with full reorthogonalization on the matrix-free `_min_max_matvec`.
-
-    A Ritz value theta_i of the k-step tridiagonal T = S diag(theta) S^T lies
-    within r_i = beta_k |S[-1, i]| of an eigenvalue, and within r_i^2 / delta_i
-    if no other eigenvalue lies within delta_i of theta_i (Kato-Temple;
-    Parlett, The Symmetric Eigenvalue Problem, 10.2 and ch. 13).  delta_i is
-    estimated as the distance to the neighbouring Ritz values less their own
-    r; where that is <= r_i the bound stays r_i.  The iteration stops once
-    the bound is at most eps theta_max for all `count` top values, checked
-    after 2 count + 5 steps and then every `_LANCZOS_CHECK` steps, or at
-    k = m, where the Krylov space is exhausted and the values are exact."""
-    u, v = min_max_factors(spec)
-    m, nodes = len(grid), grid.nodes
-    du, dv = (np.full(m, math.sqrt(grid.weight)) * f(nodes) for f in (u, v))
-    gather = np.arange(m) * np.array([[1], [-1]]) % m   # rows i and (m - i) mod m
-    weights = np.array([[du, dv[gather[1]]], [dv, du[::-1]]])
-    weights[0, 1, 0] = 0.0
-
-    eps = np.finfo(float).eps
-    first = 2 * count + _LANCZOS_CHECK   # steps before the first check
-    # fixed, so the output is reproducible, and not reflection-symmetric: on the
-    # midpoint grid ones is orthogonal to every odd eigenvector at anchor a = 0.5
-    start = np.cos(np.arange(m)) + 0.5
-    basis = np.empty((min(m, first) + 1, m))   # step k writes row k + 1
-    basis[0] = start / math.sqrt(start @ start)
-    alpha, beta = np.zeros(m), np.zeros(m)
-    k = 0   # Lanczos steps taken
-    while True:
-        if k + 1 == len(basis):   # full: double it
-            basis = np.concatenate([basis, np.empty((min(m + 1, 2 * len(basis)) - len(basis), m))])
-        q, w = basis[:k + 1], basis[k + 1]
-        _min_max_matvec(gather, weights, basis[k], w)
-        h = q @ w   # classical Gram-Schmidt twice
-        w -= h @ q
-        scale = math.sqrt(h @ h)   # the breakdown scale: |K q_k| less beta_k
-        alpha[k] = h[k]
-        h = q @ w
-        w -= h @ q
-        alpha[k] += h[k]
-        beta[k] = math.sqrt(w @ w)
-        k += 1
-        if k == m or (k >= first and (k - first) % _LANCZOS_CHECK == 0):
-            theta, s = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(beta[:k - 1], -1), UPLO="L")
-            r = beta[k - 1] * np.abs(s[-1])
-            gaps = np.diff(theta)
-            delta = np.full(k, np.inf)
-            delta[1:] = gaps - r[:-1]
-            delta[:-1] = np.minimum(delta[:-1], gaps - r[1:])
-            bound = np.divide(r * r, delta, out=r, where=delta > r)
-            if k == m or np.all(bound[-count:] <= eps * theta[-1]):
-                return theta[-count:]
-        if beta[k - 1] <= eps * scale:
-            raise NumericError(f"Lanczos broke down after {k} of {m} steps")
-        w /= beta[k - 1]
+    With g = h e, s = m theta and r = (p - q) theta,
+        phi = (1 + g^2)/2 cos s - h sin s + (1 - g^2)/2 cos r - g sin r,
+    whose last two terms are at most (1 + g^2)/2 in size.  At
+    theta = (j - 1) pi/m, where sin s = 0, (-1)^(j-1) phi >= 0.  At
+    (j - 1/2) pi/m, where cos s = 0, (-1)^(j-1) phi < 0, since there
+    tan(theta/2) lies in [tan(pi/4m), cot(pi/4m)] and |g| <= tan(theta/2),
+    so h > (1 + g^2)/2.  Each of these m disjoint brackets thus holds a root,
+    and the m x m Gram leaves room for no more: root j, lambda_j, is the one
+    in [(j - 1) pi/m, (j - 1/2) pi/m], and at anchors such as 1/4 or 1/2 it
+    can sit on the left end.  Newton with the exact derivative solves all
+    roots at once from the bracket midpoints, shrinking each bracket to the
+    iterate by the sign of phi, accepting a step that lands inside it or on
+    an end and bisecting otherwise, until every step is at most 1e-15 theta.
+    """
+    m = len(grid)
+    p = min(max(math.ceil(spec.a * m - 0.5), 0), m)
+    n, e = 2 * p - m, spec.a - p / m
+    j = np.arange(count)
+    lo, hi = j * (math.pi / m), (j + 0.5) * (math.pi / m)
+    sign = 1.0 - 2.0 * (j % 2)   # (-1)^(j-1) for root j = 1, 2, ...
+    theta = 0.5 * (lo + hi)
+    for _ in range(_ANCHORED_STEPS):
+        t = np.tan(0.5 * theta)
+        h, dh = 2 * m * t, m * (1.0 + t * t)
+        g, dg = e * h, e * dh
+        cs, ss = np.cos(m * theta), np.sin(m * theta)
+        cr, sr = np.cos(n * theta), np.sin(n * theta)
+        phi = 0.5 * (cs + cr + g * g * (cs - cr)) - h * ss - g * sr
+        dphi = (g * dg * (cs - cr) - 0.5 * (m * ss + n * sr + g * g * (m * ss - n * sr))
+                - dh * ss - m * h * cs - dg * sr - n * g * cr)
+        right = sign * phi >= 0.0   # the root lies at or right of theta
+        lo, hi = np.where(right, theta, lo), np.where(right, hi, theta)
+        step = theta - phi / dphi
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(step - theta) <= 1e-15 * theta
+        theta = step
+        if done.all():
+            return (2.0 * m * np.sin(0.5 * theta)) ** -2
+    raise NumericError(f"anchored eigensolve took over {_ANCHORED_STEPS} Newton steps")
 
 
 def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> EigenSequence:
@@ -238,20 +204,15 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
     _check_count(count)
     if count > len(grid):
         raise ParameterError(f"count {count} exceeds grid size {len(grid)}")
-    solver = nystrom_solver(spec, grid, count)
+    solver = nystrom_solver(spec)
     if solver == "circulant-fft":
         vals = _circulant_eigenvalues(spec, grid)
     elif solver in ("dct", "dst"):
         vals = _trigonometric_eigenvalues(spec, grid, count)
     elif solver == "secular":
         vals = _secular_eigenvalues(grid, count)
-    elif solver == "lanczos":
-        vals = _lanczos_eigenvalues(spec, grid, count)
     else:
-        try:
-            vals = np.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        vals = _anchored_eigenvalues(spec, grid, count)
     vals = np.sort(vals)[::-1][:count]
     # a PSD kernel may produce O(eps)-negative eigenvalues at the bottom
     if vals[-1] < -1e-10 * max(vals[0], 0.0):
@@ -271,9 +232,11 @@ class RefinedSpectrum:
 def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> RefinedSpectrum:
     """Extrapolate the midpoint-rule spectrum to grid size infinity.
 
-    The midpoint eigenvalue error is O(m^-2), so with the two finest sizes
-    m1 < m2 the leading term cancels in
-    lambda* = lambda(m2) + (lambda(m2) - lambda(m1)) / ((m2/m1)^2 - 1).
+    The midpoint eigenvalue error is O(m^-r), r = `family_exact_decay(spec)`:
+    it is the spectrum's tail aliased onto the grid, which falls like
+    lambda_m ~ m^-r, so r = 2 alpha for korobov and 2 for the rest.  With the
+    two finest sizes m1 < m2 the leading term cancels in
+    lambda* = lambda(m2) + (lambda(m2) - lambda(m1)) / ((m2/m1)^r - 1).
     Only m1 and m2 are solved: count must not exceed m1, whatever the
     sizes before it.
     """
@@ -284,7 +247,7 @@ def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> Ref
         raise ParameterError("need at least two strictly increasing grid sizes")
     coarse, fine = (nystrom_spectrum(spec, midpoint_grid(m), count).values for m in sizes[-2:])
     ratio = sizes[-1] / sizes[-2]
-    extrap = fine + (fine - coarse) / (ratio ** 2 - 1.0)
+    extrap = fine + (fine - coarse) / (ratio ** family_exact_decay(spec) - 1.0)
     err = np.abs(fine - coarse)
     order = np.argsort(extrap)[::-1]
     seq = EigenSequence(np.maximum(extrap[order], 0.0), source="numeric")

@@ -206,8 +206,7 @@ def min_max_factors(spec: KernelSpec):
 
     u / v is strictly increasing for every family here, so a Gram matrix on
     distinct points where u > 0 is an oscillation matrix with simple
-    eigenvalues (Gantmacher-Krein).  Such a Gram matrix is also
-    semiseparable: it multiplies a vector in O(m) through two prefix sums.
+    eigenvalues (Gantmacher-Krein).
     """
     if spec.family == "sobolev-min":
         return (lambda t: 1.0 + t), (lambda t: 1.0)

@@ -93,12 +93,12 @@ def test_oracle_eigs_refine(tmp_path):
 
 
 @pytest.mark.parametrize("args, solver", [
-    (["--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "200"], "lanczos"),
+    (["--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "200"], "anchored"),
     (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"],
      "circulant-fft"),
-    (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "dense"),
+    (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "anchored"),
     (["--family", "sobolev-distance", "--anchor", "0.5", "--count", "3", "--refine", "10,20"],
-     "dense+lanczos"),
+     "anchored"),
     (["--family", "sobolev-cosh", "--grid-size", "20"], "dct"),
     (["--family", "brownian-min", "--grid-size", "20"], "dst"),
     (["--family", "sobolev-min", "--grid-size", "200", "--count", "200"], "secular"),
@@ -526,8 +526,8 @@ def _run_python(code, *args):
 
 
 def test_cli_import_loads_neither_mpmath_nor_scipy_special():
-    # scipy.special is imported where the Korobov series needs it, numpy does
-    # the Lanczos and dense eigensolves, and mpmath is only a test oracle
+    # scipy.special is imported where the Korobov series needs it, every
+    # Nystrom solver is numpy alone, and mpmath is only a test oracle
     modules = {"mpmath", "scipy.special", "scipy.sparse", "scipy.linalg", "scipy.integrate"}
     code = f"import sys, tensortract.cli; print(sorted({modules!r} & set(sys.modules)))"
     assert _run_python(code).strip() == "[]"
@@ -556,6 +556,10 @@ run(["oracle-eigs", "--grid-size", "400"])
 run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "3000", "--count", "3000"])
 run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "1000000", "--count", "5"])
 run(["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "400"])
+run(["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "3000",
+     "--count", "3000"])
+run(["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.3",
+     "--grid-size", "1000000000000000", "--count", "5"])
 small = scipy_modules()
 run(["reproduce"])
 print(json.dumps({"small": small, "reproduce": scipy_modules()}))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import mpmath
@@ -11,21 +12,27 @@ from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenv
                          korobov_eigenvalues, midpoint_grid, nystrom_spectrum, richardson_refine,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenvalues)
 from tensortract import nystrom
-from tensortract.nystrom import nystrom_solver, weighted_kernel_matrix
-from tensortract.spectra import _kernel
+from tensortract.nystrom import nystrom_solver
+from tensortract.spectra import _kernel, gram_matrix
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
 KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)
 BROWNIAN = KernelSpec("brownian-min")
-HALF = KernelSpec("sobolev-distance", a=0.5)   # an interior anchor: Lanczos or dense
+HALF = KernelSpec("sobolev-distance", a=0.5)   # an interior anchor: the anchored solver
+
+
+def weighted_kernel_matrix(spec, grid):
+    """The dense oracle's matrix d G d with the scalar d = sqrt(1/m): exactly
+    symmetric, as the Gram matrix G is."""
+    d = math.sqrt(1.0 / len(grid))
+    return d * gram_matrix(spec, grid.nodes) * d
 
 
 def test_midpoint_grid_shape():
     grid = midpoint_grid(8)
     assert len(grid) == 8 and [f.name for f in dataclasses.fields(grid)] == ["m"]
     assert grid.nodes.tolist() == [(i + 0.5) / 8 for i in range(8)]
-    assert grid.weight == 1 / 8
 
 
 @pytest.mark.parametrize("m", [0, -3, 2.5, 4.0, "4", None])
@@ -40,7 +47,7 @@ def test_count_exceeds_grid():
 
 
 def test_weighted_matrix_exactly_symmetric():
-    # the dense solver relies on this without checking it
+    # the dense oracle relies on this without checking it
     specs = [MIN, COSH, KOR, KernelSpec("korobov", alpha=0.75, beta=0.5), KernelSpec("brownian-min")]
     specs += [KernelSpec("sobolev-distance", a=a) for a in (0.0, 0.3, 0.5, 1.0)]
     for spec in specs:
@@ -151,14 +158,12 @@ SIZES = [2, 3, 7, 64, 500]
 
 def _counts(choice, m):
     """Counts to solve for on a grid of size m.  ``endpoints``: the two at each
-    end of 1..m and the two either side of the Lanczos/dense switch at m // 6;
-    ``midpoint``: the middle of the Lanczos range and of the dense range;
-    ``random``: five drawn uniformly from 1..m."""
-    last = m // 6   # the largest count Lanczos takes
+    end of 1..m; ``midpoint``: the middle of 1..m; ``random``: five drawn
+    uniformly from 1..m."""
     if choice == "endpoints":
-        counts = {1, 2, last, last + 1, m - 1, m}
+        counts = {1, 2, m - 1, m}
     elif choice == "midpoint":
-        counts = {(1 + last) // 2, (last + 1 + m) // 2}
+        counts = {(1 + m) // 2}
     else:
         counts = set(np.random.default_rng(m).integers(1, m + 1, 5).tolist())
     return sorted(counts & set(range(1, m + 1)))
@@ -173,24 +178,19 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
     for count in _counts(choice, m):
         got = nystrom_spectrum(spec, grid, count).values
         err = np.max(np.abs(got - np.maximum(dense[:count], 0.0)))
-        assert err <= 1e-12 * dense[0], (count, nystrom_solver(spec, grid, count), err)
+        assert err <= 1e-12 * dense[0], (count, nystrom_solver(spec), err)
 
 
 def test_solver_choice():
-    # the largest count Lanczos takes on each grid: m/6 rounded down
-    last_lanczos = {2: 0, 3: 0, 7: 1, 64: 10, 100: 16, 500: 83}
     fixed = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
              "sobolev-min": "secular"}
     specs = ALL_FAMILIES + [KernelSpec("sobolev-distance", a=a) for a in (0.0, 1e-12, 1 - 1e-12)]
-    for m, last in last_lanczos.items():
-        grid = midpoint_grid(m)
-        for spec in specs:
-            for count in range(1, m + 1):
-                if spec.a in (0.0, 1.0):   # the anchors at the ends have the sobolev-min Gram
-                    want = "secular"
-                else:
-                    want = fixed.get(spec.family, "lanczos" if count <= last else "dense")
-                assert nystrom_solver(spec, grid, count) == want, (spec.label(), m, count)
+    for spec in specs:
+        if spec.a in (0.0, 1.0):   # the anchors at the ends have the sobolev-min Gram
+            want = "secular"
+        else:
+            want = fixed.get(spec.family, "anchored")
+        assert nystrom_solver(spec) == want, spec.label()
 
 
 @pytest.mark.parametrize("m", SIZES + [10 ** 6])
@@ -198,7 +198,7 @@ def test_korobov_is_circulant_fft_at_every_count(m):
     grid = midpoint_grid(m)
     full = nystrom_spectrum(KOR, grid, m).values
     for count in sorted({1, 2, 5, m // 6, m - 1, m} & set(range(1, m + 1))):
-        assert nystrom_solver(KOR, grid, count) == "circulant-fft"
+        assert nystrom_solver(KOR) == "circulant-fft"
         # one FFT gives all m eigenvalues: each count reads a prefix of them
         assert nystrom_spectrum(KOR, grid, count).values.tobytes() == full[:count].tobytes()
 
@@ -278,7 +278,8 @@ def test_closed_forms_at_a_petascale_grid_are_the_analytic_rules(spec):
     np.testing.assert_allclose(got, analytic, rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [COSH, BROWNIAN, MIN], ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", [COSH, BROWNIAN, MIN, KernelSpec("sobolev-distance", a=0.3)],
+                         ids=lambda s: s.label())
 def test_closed_form_solvers_allocate_no_grid_sized_array(spec):
     grid = midpoint_grid(10 ** 6)   # an m-sized float array alone takes 8 MB
     tracemalloc.start()
@@ -302,9 +303,10 @@ def test_count_is_a_positive_integer(solve, count):
         solve(count)
 
 
-@pytest.mark.parametrize("spec, m", [(HALF, 2000), (KOR, 2000), (HALF, 20), (MIN, 2000)])
+@pytest.mark.parametrize("spec, m", [(HALF, 2000), (KOR, 2000), (HALF, 20), (MIN, 2000),
+                                     (KernelSpec("sobolev-distance", a=0.3), 10 ** 6)])
 def test_repeated_solves_are_bitwise_equal(spec, m):
-    grid = midpoint_grid(m)   # lanczos, circulant-fft, dense, secular
+    grid = midpoint_grid(m)   # anchored, circulant-fft, anchored, secular, anchored
     a = nystrom_spectrum(spec, grid, 5).values
     b = nystrom_spectrum(spec, grid, 5).values
     assert a.tobytes() == b.tobytes()
@@ -322,146 +324,6 @@ def test_large_grid_matches_analytic_rules(spec):
     np.testing.assert_allclose(numeric, analytic, rtol=1e-3 * (2000 / m) ** 2)
 
 
-def _ornstein_uhlenbeck(monkeypatch, c):
-    # exp(-c |x - y|) = u(min) v(max) with u = e^(c t), v = e^(-c t); at c = m ln 2
-    # the midpoint Gram is the Toeplitz 2^-|i-j| / m, whose top eigenvalues lie
-    # about 1e-2 apart relative to each other, so Lanczos needs many steps
-    monkeypatch.setattr(nystrom, "min_max_factors",
-                        lambda spec: (lambda t: np.exp(c * t), lambda t: np.exp(-c * t)))
-
-
-def test_lanczos_extends_its_basis_until_converged(monkeypatch):
-    m = 100
-    c = m * np.log(2.0)
-    _ornstein_uhlenbeck(monkeypatch, c)
-    x = midpoint_grid(m).nodes
-    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
-    for count in (5, 16):   # 2 count + 10 steps are not enough for either
-        got = nystrom_spectrum(HALF, midpoint_grid(m), count).values
-        assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
-
-
-def test_lanczos_runs_past_fifty_count_steps_on_a_clustered_spectrum(monkeypatch):
-    # a count-1 solve that needs 57 steps: Lanczos has no step cap below m,
-    # where the Krylov space is exhausted and the values are exact
-    m, c = 129, 89.0
-    _ornstein_uhlenbeck(monkeypatch, c)
-    steps = _record_products(monkeypatch)
-    x = midpoint_grid(m).nodes
-    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
-    got = nystrom_spectrum(HALF, midpoint_grid(m), 1).values
-    assert len(steps) > 50
-    assert abs(got[0] - dense[0]) <= 1e-12 * dense[0]
-
-
-LANCZOS_FAMILIES = [MIN, COSH, KernelSpec("sobolev-distance", a=0.0), KernelSpec("brownian-min")]
-
-
-def _record_products(monkeypatch):
-    """The (z, K z) pairs of the solves that follow: one per Lanczos step."""
-    products = []
-    matvec = nystrom._min_max_matvec
-
-    def recorded(gather, weights, z, out):
-        matvec(gather, weights, z, out)
-        products.append((z.copy(), out.copy()))
-    monkeypatch.setattr(nystrom, "_min_max_matvec", recorded)
-    return products
-
-
-@pytest.mark.parametrize("m", [6, 7, 64, 501])
-@pytest.mark.parametrize("spec", LANCZOS_FAMILIES + [KernelSpec("sobolev-distance", a=0.3)],
-                         ids=lambda s: s.label())
-def test_min_max_matvec_matches_the_dense_product(monkeypatch, spec, m):
-    grid = midpoint_grid(m)
-    _check_products(monkeypatch, spec, grid, weighted_kernel_matrix(spec, grid))
-
-
-def test_min_max_matvec_sums_tails_backwards(monkeypatch):
-    # with u = e^(ct), v = e^(-ct) a tail sum taken as total - prefix loses
-    # every digit; summed backwards from the last node it keeps them
-    m, c = 100, 100 * np.log(2.0)
-    _ornstein_uhlenbeck(monkeypatch, c)
-    x = midpoint_grid(m).nodes
-    _check_products(monkeypatch, HALF, midpoint_grid(m), np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)
-
-
-def _lanczos(spec, grid, count):
-    """The top `count` Lanczos eigenvalues, largest first, whichever solver
-    `nystrom_spectrum` would pick: Lanczos stays tested on all four kernels."""
-    return nystrom._lanczos_eigenvalues(spec, grid, count)[::-1]
-
-
-def _check_products(monkeypatch, spec, grid, M):
-    """Every product a Lanczos solve forms must be M z to rounding."""
-    products = _record_products(monkeypatch)
-    _lanczos(spec, grid, max(1, len(grid) // 6))
-    assert products
-    for z, out in products:
-        assert np.max(np.abs(out - M @ z)) <= 1e-14 * np.max(np.abs(M)) * np.sum(np.abs(z))
-
-
-@pytest.mark.parametrize("m", [500, 1000, 2000])
-@pytest.mark.parametrize("spec", LANCZOS_FAMILIES, ids=lambda s: s.label())
-def test_lanczos_stops_at_its_first_check(monkeypatch, spec, m):
-    # the gap bound r^2 / delta is met at the first check, after 2 count + 5
-    # steps; the residual bound r alone is not met there
-    steps = _record_products(monkeypatch)
-    grid = midpoint_grid(m)
-    for count, most in ((1, 7), (5, 15)):
-        steps.clear()
-        got = _lanczos(spec, grid, count)
-        assert len(steps) <= most, (count, len(steps))
-        if m == 500:
-            dense = np.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
-            assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
-
-
-def test_lanczos_breakdown_is_a_numeric_error(monkeypatch):
-    # the zero kernel maps the start vector to 0: the Krylov space stops at one vector
-    monkeypatch.setattr(nystrom, "min_max_factors", lambda spec: (np.zeros_like, np.ones_like))
-    with pytest.raises(NumericError, match="broke down after 1 of 100 steps"):
-        nystrom_spectrum(HALF, midpoint_grid(100), 5)
-
-
-@st.composite
-def _lanczos_inputs(draw):
-    m = draw(st.integers(6, 200))
-    spec = draw(st.one_of(st.sampled_from([MIN, COSH, KernelSpec("brownian-min")]),
-                          st.builds(lambda a: KernelSpec("sobolev-distance", a=a),
-                                    st.floats(0.0, 1.0))))
-    return spec, midpoint_grid(m), draw(st.integers(1, m // 6))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_lanczos_inputs())
-def test_lanczos_matches_dense_eigvalsh_at_drawn_sizes(inputs):
-    spec, grid, count = inputs
-    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
-    got = _lanczos(spec, grid, count)
-    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
-
-
-@st.composite
-def _clustered_inputs(draw):
-    m = draw(st.integers(6, 200))
-    return m, draw(st.floats(1.0, m * np.log(2.0))), draw(st.integers(1, m // 6))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_clustered_inputs())
-def test_lanczos_matches_dense_eigvalsh_on_clustered_spectra(inputs):
-    # exp(-c |x - y|): as c grows the top eigenvalues crowd together, and the
-    # gap each Ritz value sees to its neighbours shrinks
-    m, c, count = inputs
-    x = midpoint_grid(m).nodes
-    dense = np.linalg.eigvalsh(np.exp(-c * np.abs(x[:, None] - x[None, :])) / m)[::-1]
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _ornstein_uhlenbeck(monkeypatch, c)
-        got = nystrom_spectrum(HALF, midpoint_grid(m), count).values
-    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
-
-
 # ---------------------------------------------------------------------------
 # the secular solver for the 1 + min(x, y) Gram
 # ---------------------------------------------------------------------------
@@ -475,7 +337,7 @@ def test_secular_matches_dense_eigvalsh(spec, data):
     m = data.draw(st.integers(1, 600))
     count = data.draw(st.integers(1, m))
     grid = midpoint_grid(m)
-    assert nystrom_solver(spec, grid, count) == "secular"
+    assert nystrom_solver(spec) == "secular"
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
     got = nystrom_spectrum(spec, grid, count).values
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
@@ -498,3 +360,79 @@ def test_secular_roots_match_mpmath(m):
     for j in sorted({1, 2, 3, max(m // 2, 1), max(m - 1, 1), m} & set(range(1, m + 1))):
         ref = _secular_eigenvalue_mpmath(m, j)
         assert abs(float((got[j - 1] - ref) / ref)) <= 1e-15, j
+
+
+# ---------------------------------------------------------------------------
+# the anchored solver for an interior anchor
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _anchored_inputs(draw):
+    """A grid, a count and an anchor: drawn uniformly, on a cell edge k/m, on
+    a node (k + 1/2)/m, or inside the first or the last cell."""
+    m = draw(st.integers(1, 600))
+    inside = st.floats(0.0, 1.0, exclude_max=True)
+    a = draw(st.one_of(st.floats(0.0, 1.0),
+                       st.builds(lambda k: k / m, st.integers(0, m)),
+                       st.builds(lambda k: (k + 0.5) / m, st.integers(0, m - 1)),
+                       st.builds(lambda t: t / m, inside),
+                       st.builds(lambda t: 1.0 - t / m, inside)))
+    return KernelSpec("sobolev-distance", a=a), midpoint_grid(m), draw(st.integers(1, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_anchored_inputs())
+def test_anchored_matches_dense_eigvalsh(inputs):
+    spec, grid, count = inputs
+    dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+    got = nystrom_spectrum(spec, grid, count).values
+    assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 500, 2000, 10 ** 6])
+def test_anchored_matches_secular_at_the_end_anchors(m):
+    # nystrom_spectrum sends a = 0 and 1 to secular; the two solvers check each other
+    grid = midpoint_grid(m)
+    want = nystrom_spectrum(MIN, grid, min(m, 50)).values
+    for a in (0.0, 1.0):
+        got = nystrom._anchored_eigenvalues(KernelSpec("sobolev-distance", a=a), grid, len(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[0], a
+
+
+def _continuum_eigenvalue_mpmath(a, j):
+    """lambda_j = omega_j^-2 of the sobolev-distance integral operator at 40
+    digits: -lambda f'' = f on either side of a with f'(0) = f'(1) = 0 and
+    f(a) = f'(a+) - f'(a-) give omega sin omega = cos(omega a) cos(omega (1 - a)),
+    whose root omega_j lies in [(j - 1) pi, (j - 1/2) pi]."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        lo = (j - 1) * mpmath.pi - mpmath.mpf("1e-30")   # the root can sit on (j - 1) pi
+        hi = (j - mpmath.mpf(0.5)) * mpmath.pi
+        omega = mpmath.findroot(lambda w: w * mpmath.sin(w) - mpmath.cos(w * a) * mpmath.cos(w * (1 - a)),
+                                (lo, hi), solver="anderson")
+        return omega ** -2
+
+
+@pytest.mark.parametrize("a", [0.25, 0.3, 0.5, 0.7137])
+def test_anchored_tends_to_the_continuum_rule(a):
+    # each anchor lies on a cell edge at m = 10^9, where the O(m^-2) error is below rounding
+    got = nystrom_spectrum(KernelSpec("sobolev-distance", a=a), midpoint_grid(10 ** 9), 5).values
+    want = np.array([float(_continuum_eigenvalue_mpmath(a, j)) for j in range(1, 6)])
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+
+def test_anchored_step_cap_is_a_numeric_error(monkeypatch):
+    monkeypatch.setattr(nystrom, "_ANCHORED_STEPS", 1)
+    with pytest.raises(NumericError, match="Newton steps"):
+        nystrom_spectrum(HALF, midpoint_grid(100), 5)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0])
+def test_richardson_refine_takes_the_korobov_order(alpha):
+    # the korobov midpoint error is O(m^-2 alpha): extrapolating with the
+    # order 2 leaves most of it at alpha = 0.75 and adds to it at alpha = 2
+    spec = KernelSpec("korobov", alpha=alpha, beta=0.9)
+    exact = korobov_eigenvalues(alpha, 0.9, 3).values
+    raw = nystrom_spectrum(spec, midpoint_grid(2000), 3).values
+    refined = richardson_refine(spec, 3, [1000, 2000]).eigensequence.values
+    assert np.max(np.abs(refined - exact)) <= 1e-2 * np.max(np.abs(raw - exact))
