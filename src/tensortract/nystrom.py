@@ -11,20 +11,24 @@ Richardson extrapolation sharpens them.
 `nystrom_spectrum` picks its eigensolver, all numpy, from the kernel alone
 (see `nystrom_solver`):
 
-    korobov                          circulant-fft
+    korobov, 2 alpha in {2, 4, 6}    aliased
+    korobov, other alpha             circulant-fft
     sobolev-cosh                     dct
     brownian-min                     dst
     sobolev-min                      secular
     sobolev-distance, a in {0, 1}    secular
     sobolev-distance, 0 < a < 1      anchored
 
-`circulant-fft` reads all m eigenvalues off one real FFT.  `dct` and `dst`
-evaluate the closed forms of the sobolev-cosh and brownian-min spectra (see
+`circulant-fft` reads all m eigenvalues off one real FFT.  `aliased`
+evaluates the korobov spectrum's closed form where its aliasing sum is a
+polynomial in csc^2 (see `_aliased_eigenvalues`), `dct` and `dst` the closed
+forms of the sobolev-cosh and brownian-min spectra (see
 `_trigonometric_eigenvalues`), `secular` solves the closed-form
 characteristic equation of the 1 + min(x, y) Gram (see
 `eigensolve._min_kernel_roots`), and `anchored` that of the two pinned
 blocks an interior anchor splits the grid into (see `_anchored_eigenvalues`);
-these four take O(count), with no m-sized array.  The anchors a = 0 and 1
+these five take O(count), with no m-sized array.  Each solver returns its
+top `count` eigenvalues, largest first and nonnegative.  The anchors a = 0 and 1
 have the 1 + min(x, y) Gram up to a reflection of the grid.  The tests
 hold every solver to a dense eigensolve of the Gram matrix.
 """
@@ -41,7 +45,7 @@ import numpy as np
 
 from .eigensolve import _min_kernel_roots, family_exact_decay
 from .errors import NumericError, ParameterError
-from .spectra import EigenSequence, KernelSpec, _check_count, _kernel
+from .spectra import EigenSequence, KernelSpec, _bernoulli_order, _check_count, _kernel
 
 # Newton steps `_anchored_eigenvalues` may take: 500 random grids of up to
 # 600 points, anchors and counts needed at most 16, all 10^6 roots at
@@ -71,26 +75,71 @@ class QuadratureGrid:
 midpoint_grid = QuadratureGrid   # the constructor every caller uses
 
 
-_FAMILY_SOLVERS = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
-                   "sobolev-min": "secular"}
+_FAMILY_SOLVERS = {"sobolev-cosh": "dct", "brownian-min": "dst", "sobolev-min": "secular"}
+
+# zeta(2n) / pi^(2n) at the orders 2n = 2, 4, 6 of `_aliased_eigenvalues`
+_ZETA_OVER_PI = {1: 1.0 / 6.0, 2: 1.0 / 90.0, 3: 1.0 / 945.0}
 
 
 def nystrom_solver(spec: KernelSpec) -> str:
     """The eigensolver `nystrom_spectrum` uses for this kernel, as tabled in
     the module docstring.  Each serves every grid size and count."""
+    if spec.family == "korobov":
+        return "circulant-fft" if _bernoulli_order(spec.alpha) is None else "aliased"
     if spec.family in _FAMILY_SOLVERS:
         return _FAMILY_SOLVERS[spec.family]
     return "secular" if spec.a in (0.0, 1.0) else "anchored"
 
 
-def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """All m eigenvalues of the korobov d K d, d = sqrt(1/m).  On the midpoint
-    rule x_i - x_j = (i - j)/m, so K = c(x - y) with c even and 1-periodic is
-    circulant: its eigenvalues are the real DFT of the first Gram row, and
-    mirroring that pairs bin k with bin m - k exactly."""
+def _circulant_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of the korobov d K d, d = sqrt(1/m),
+    largest first.  On the midpoint rule x_i - x_j = (i - j)/m, so K = c(x - y)
+    with c even and 1-periodic is circulant: its eigenvalues are the real DFT
+    of the first Gram row, and mirroring that pairs bin k with bin m - k
+    exactly.  The bins come unordered, and rounding may leave the smallest
+    O(eps) below 0, which is clamped; a larger negative value is an error."""
     m = len(grid)
     half = np.fft.rfft(_kernel(spec, grid.nodes[0], grid.nodes)).real / m
-    return np.concatenate([half, half[1:(m + 1) // 2]])
+    vals = np.sort(np.concatenate([half, half[1:(m + 1) // 2]]))[::-1][:count]
+    if vals[-1] < -1e-10 * max(vals[0], 0.0):
+        raise NumericError("kernel matrix has significantly negative eigenvalues")
+    return np.maximum(vals, 0.0)
+
+
+def _aliased_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of the korobov d K d, d = sqrt(1/m), for
+    2 alpha = 2n in {2, 4, 6}, largest first, in O(count).
+
+    K(x, y) = sum_k c_k exp(2 pi i k (x - y)) over all integers k, with c_0 = 1
+    and c_k = beta |k|^(-2n).  On the midpoint rule the Gram is circulant, and
+    bin k of its DFT sums the coefficients aliased onto it (Trefethen &
+    Weideman, The Exponentially Convergent Trapezoidal Rule, SIAM Review 56,
+    2014): mu_k = sum_(l = k mod m) c_l.  So
+        mu_0 = 1 + 2 beta m^(-2n) zeta(2n),
+        mu_k = mu_(m-k) = beta m^(-2n) S(k/m),  S(q) = sum_l (l + q)^(-2n),
+    and the partial fractions of S(q) are polynomials P_n in c = csc^2(pi q):
+    pi^2 csc^2(pi q) for n = 1, and, differentiating twice, then twice again,
+        S = pi^(2n) P_n(c),  P_1 = c,  P_2 = c^2 - 2c/3,  P_3 = c^3 - c^2 + 2c/15.
+    With u = (pi/m)^2 and r = u c = ((pi/m) / sin(pi k/m))^2, which lies in
+    [u, pi^2/4] and so cannot overflow at any m,
+        mu_k = beta r,  beta r (r - 2u/3),  beta r (r (r - u) + 2u^2/15).
+    P_n rises with c >= 1, so mu_k falls for 1 <= k <= m/2: the top `count`
+    are among mu_0 and the first `count` of the bins 1, m - 1, 2, m - 2, ...
+    mu_1 can exceed mu_0 (beta = 0.9, n = 1, m = 2), so these are sorted.
+    """
+    m, n = len(grid), _bernoulli_order(spec.alpha)
+    u = (math.pi / m) ** 2
+    # k = 1, 1, 2, 2, ... for the bins 1, m - 1, 2, m - 2, ..., of which there are m - 1
+    k = np.arange(2, min(count, m - 1) + 2) // 2
+    r = (math.pi / m / np.sin(k * (math.pi / m))) ** 2
+    if n == 1:
+        p = r
+    elif n == 2:
+        p = r * (r - u * (2.0 / 3.0))
+    else:
+        p = r * (r * (r - u) + u * u * (2.0 / 15.0))
+    top = 1.0 + 2.0 * spec.beta * u ** n * _ZETA_OVER_PI[n]
+    return np.sort(np.concatenate(([top], spec.beta * p)))[::-1][:count]
 
 
 def _trigonometric_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
@@ -205,19 +254,17 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
     if count > len(grid):
         raise ParameterError(f"count {count} exceeds grid size {len(grid)}")
     solver = nystrom_solver(spec)
-    if solver == "circulant-fft":
-        vals = _circulant_eigenvalues(spec, grid)
+    if solver == "aliased":
+        vals = _aliased_eigenvalues(spec, grid, count)
+    elif solver == "circulant-fft":
+        vals = _circulant_eigenvalues(spec, grid, count)
     elif solver in ("dct", "dst"):
         vals = _trigonometric_eigenvalues(spec, grid, count)
     elif solver == "secular":
         vals = _secular_eigenvalues(grid, count)
     else:
         vals = _anchored_eigenvalues(spec, grid, count)
-    vals = np.sort(vals)[::-1][:count]
-    # a PSD kernel may produce O(eps)-negative eigenvalues at the bottom
-    if vals[-1] < -1e-10 * max(vals[0], 0.0):
-        raise NumericError("kernel matrix has significantly negative eigenvalues")
-    return EigenSequence(np.maximum(vals, 0.0), source="numeric")
+    return EigenSequence(vals, source="numeric")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, ParameterError
 
@@ -70,6 +69,9 @@ class KernelSpec:
         return self.family
 
 
+_SOURCES = ("analytic-rule", "numeric", "user-supplied")
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSequence:
     """Ordered eigenvalues lambda_1 >= lambda_2 >= ... >= 0 of W = S*S.
@@ -87,21 +89,22 @@ class EigenSequence:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        # one pass accepts a valid list: NaN, +-inf, a negative value and a
+        # rise all fail it; the checks below only pick the error message
+        if (vals.ndim == 1 and vals.size and 0.0 < vals[0] < math.inf and vals[-1] >= 0.0
+                and (vals[:-1] >= vals[1:]).all() and self.source in _SOURCES):
+            return
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("eigenvalue list must be a nonempty vector")
         if not np.isfinite(vals).all():
             raise ParameterError("eigenvalues must be finite")
-        if self.source not in ("analytic-rule", "numeric", "user-supplied"):
+        if self.source not in _SOURCES:
             raise ParameterError(f"unknown source tag {self.source!r}")
         if not vals[0] > 0.0:
             raise ParameterError("leading eigenvalue must be positive")
-        # a nonincreasing list has its minimum last, so only a list with a
-        # rise needs the full scan for the (first reported) negative value
-        rises = (vals[1:] > vals[:-1]).any()
-        if vals[-1] < 0.0 or rises and (vals < 0.0).any():
+        if (vals < 0.0).any():
             raise ParameterError("eigenvalues must be nonnegative")
-        if rises:
-            raise ParameterError("eigenvalues must be nonincreasing")
+        raise ParameterError("eigenvalues must be nonincreasing")   # all that is left
 
     def __len__(self) -> int:
         return self.values.size
@@ -150,20 +153,30 @@ _B_EVEN = {
     3: (lambda t: (((t - 3.0) * t + 2.5) * t * t - 0.5) * t * t + 1.0 / 42.0),
 }
 
+
+def _bernoulli_order(alpha: float) -> int | None:
+    """n where 2 alpha is one of the even orders 2n of `_B_EVEN`, else None."""
+    n = int(round(alpha))
+    return n if abs(alpha - n) < 1e-13 and n in _B_EVEN else None
+
+
 # Otherwise, with s = 2 alpha and mu = 2 pi min(t, 1 - t) in [0, pi], it is
 #   A(s) mu^(s-1) + sum_j zeta(s-2j) (-1)^j mu^2j / (2j)!,  A(s) = pi / (2 Gamma(s) cos(pi s/2)),
 # whose terms fall like (mu / 2 pi)^2j <= 4^-j: 32 of them reach double precision.  From
 # s = 40 on, Gamma(s) nears overflow and 4^-s < 1e-24: three terms of the series are exact.
-# zeta(1 + d) - 1/d = sum_k (-1)^k gamma_k d^k / k!, gamma_k the Stieltjes constants:
-_ZETA1_REGULAR = (0.5772156649015329, 0.07281584548367671,
-                  -0.004845181596436159, -0.00034230573671722433)
+# (-1)^j / (2j)!, each rounded once from the exact rational:
+_SIGNED_INV_FACTORIALS = np.array([(-1) ** j / math.factorial(2 * j) for j in range(32)])
+# zeta(1 + d) - 1/d = sum_k (-1)^k gamma_k d^k / k!, gamma_k the Stieltjes constants,
+# highest power first as np.polyval takes it:
+_ZETA1_REGULAR = (-0.00034230573671722433, -0.004845181596436159,
+                  0.07281584548367671, 0.5772156649015329)
 
 
 def _korobov_series(theta, alpha: float):
     """sum_{k>=1} cos(2 pi k theta) / k^(2 alpha), elementwise over theta."""
     t = np.asarray(theta, dtype=float) % 1.0
-    n = int(round(alpha))
-    if abs(alpha - n) < 1e-13 and n in _B_EVEN:
+    n = _bernoulli_order(alpha)
+    if n is not None:
         coeff = (-1.0) ** (n + 1) * (2.0 * math.pi) ** (2 * n) / (2.0 * math.factorial(2 * n))
         return coeff * _B_EVEN[n](t)
     mu = 2.0 * math.pi * np.minimum(t, 1.0 - t)
@@ -171,16 +184,16 @@ def _korobov_series(theta, alpha: float):
     if s >= 40.0:
         return np.cos(mu) + np.cos(2.0 * mu) * 2.0 ** -s + np.cos(3.0 * mu) * 3.0 ** -s
     # 240-270 ms cold by -X importtime (scipy 1.17, 2-core Xeon): kept out of start-up
-    from scipy.special import factorial, polygamma, zeta
+    from scipy.special import polygamma, zeta
 
-    j = np.arange(32)
-    coeffs = zeta(s - 2.0 * j) * (-1.0) ** j / factorial(2 * j)
+    coeffs = zeta(s - 2.0 * np.arange(32)) * _SIGNED_INV_FACTORIALS
     r = int(round(s))
     d = s - r   # exact, so cos(pi s/2) below keeps its digits near an odd s
     if r % 2 == 0 or abs(d) >= 1e-3:
         half = 0.5 * math.pi * d
         cos_half = (-1.0) ** (r // 2) * (math.cos(half) if r % 2 == 0 else -math.sin(half))
-        return math.pi / (2.0 * math.gamma(s) * cos_half) * mu ** (s - 1.0) + polyval(mu * mu, coeffs)
+        lead = math.pi / (2.0 * math.gamma(s) * cos_half)
+        return lead * mu ** (s - 1.0) + np.polyval(coeffs[::-1], mu * mu)
     # Near s = 2n + 1 the lead term and the j = n term both have a 1/d pole.
     # Their sum is (-1)^n mu^2n / (2n)! times [zeta(1 + d) - 1/d] - (mu^d F(d) - 1) / d,
     # with F(d) = (pi d/2) / sin(pi d/2) * (2n)! / Gamma(2n + 1 + d).  The first
@@ -193,11 +206,11 @@ def _korobov_series(theta, alpha: float):
     log_f[4] += math.pi ** 4 / 2880.0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mu = np.log(mu)
-        pole = np.expm1(d * log_mu + polyval(d, log_f)) / d if d else log_mu + log_f[1]
-        bracket = polyval(d, _ZETA1_REGULAR) - pole
+        pole = np.expm1(d * log_mu + np.polyval(log_f[::-1], d)) / d if d else log_mu + log_f[1]
+        bracket = np.polyval(_ZETA1_REGULAR, d) - pole
         # mu = 0 leaves the bracket infinite only where mu^2n vanishes (n >= 1)
         term = np.where(mu == 0.0, 0.0, mu ** (2 * n) * bracket) if n else bracket
-    return (-1.0) ** n / math.factorial(2 * n) * term + polyval(mu * mu, coeffs)
+    return (-1.0) ** n / math.factorial(2 * n) * term + np.polyval(coeffs[::-1], mu * mu)
 
 
 def min_max_factors(spec: KernelSpec):

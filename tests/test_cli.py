@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensortract
 from tensortract import (ComplexityQuery, NumericError, count_info_complexity_all,
-                         sobolev_min_eigenvalues)
+                         korobov_eigenvalues, sobolev_min_eigenvalues)
 from tensortract.cli import _write_json, build_parser, main
 
 
@@ -66,12 +66,15 @@ def test_eigs_solves_each_root_once(monkeypatch, capsys):
 
 
 def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):
-    # the secular solver never forms an m-sized array, and at m = 10^15 the
-    # O(m^-2) quadrature error is far below double precision
-    assert run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", str(10 ** 15),
-                "--count", "5", "--format", "json"]) == 0
-    got = [row["lambda"] for row in json.loads(capsys.readouterr().out)["eigenvalues"]]
-    np.testing.assert_allclose(got, sobolev_min_eigenvalues(5).values, rtol=1e-12)
+    # the secular and aliased solvers never form an m-sized array, and at
+    # m = 10^15 the quadrature error is far below double precision
+    for args, rule in ((["--family", "sobolev-min"], sobolev_min_eigenvalues(5)),
+                       (["--family", "korobov", "--alpha", "1", "--beta", "0.5"],
+                        korobov_eigenvalues(1.0, 0.5, 5))):
+        assert run(["oracle-eigs", "--grid-size", str(10 ** 15), "--count", "5",
+                    "--format", "json"] + args) == 0
+        got = [row["lambda"] for row in json.loads(capsys.readouterr().out)["eigenvalues"]]
+        np.testing.assert_allclose(got, rule.values, rtol=1e-12)
 
 
 def test_oracle_eigs_small_grid(tmp_path):
@@ -94,7 +97,7 @@ def test_oracle_eigs_refine(tmp_path):
 
 @pytest.mark.parametrize("args, solver", [
     (["--family", "sobolev-distance", "--anchor", "0.5", "--grid-size", "200"], "anchored"),
-    (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"],
+    (["--family", "korobov", "--alpha", "0.75", "--beta", "0.5", "--grid-size", "200"],
      "circulant-fft"),
     (["--family", "sobolev-distance", "--anchor", "0.3", "--grid-size", "20"], "anchored"),
     (["--family", "sobolev-distance", "--anchor", "0.5", "--count", "3", "--refine", "10,20"],
@@ -105,6 +108,9 @@ def test_oracle_eigs_refine(tmp_path):
     (["--family", "sobolev-distance", "--anchor", "0", "--grid-size", "20"], "secular"),
     (["--family", "sobolev-distance", "--anchor", "1", "--count", "3", "--refine", "10,20"],
      "secular"),
+    (["--family", "korobov", "--alpha", "1", "--beta", "0.5", "--grid-size", "200"], "aliased"),
+    (["--family", "korobov", "--alpha", "3", "--beta", "0.5", "--count", "3", "--refine", "10,20"],
+     "aliased"),
 ])
 def test_oracle_eigs_reports_its_solver(capsys, args, solver):
     assert run(["oracle-eigs", "--format", "json"] + args) == 0
@@ -310,7 +316,7 @@ def test_json_output_is_strict(tmp_path):
 def test_memory_exhaustion_exit_code(capsys):
     # 10^15 nodes need 8 PB, past any address space: the allocation fails at
     # once (korobov's circulant FFT needs every node; the closed forms need none)
-    assert run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
+    assert run(["oracle-eigs", "--family", "korobov", "--alpha", "0.75", "--beta", "0.5",
                 "--grid-size", str(10 ** 15)]) == 3
     assert capsys.readouterr().err.startswith("resource limit: out of memory")
 

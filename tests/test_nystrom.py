@@ -12,12 +12,14 @@ from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenv
                          korobov_eigenvalues, midpoint_grid, nystrom_spectrum, richardson_refine,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenvalues)
 from tensortract import nystrom
+from tensortract.eigensolve import _min_kernel_roots
 from tensortract.nystrom import nystrom_solver
 from tensortract.spectra import _kernel, gram_matrix
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
-KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)
+KOR = KernelSpec("korobov", alpha=1.0, beta=0.5)   # 2 alpha = 2: the aliased solver
+KOR_FFT = KernelSpec("korobov", alpha=0.75, beta=0.5)   # the circulant-fft solver
 BROWNIAN = KernelSpec("brownian-min")
 HALF = KernelSpec("sobolev-distance", a=0.5)   # an interior anchor: the anchored solver
 
@@ -183,7 +185,7 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
 
 def test_solver_choice():
     fixed = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
-             "sobolev-min": "secular"}
+             "sobolev-min": "secular"}   # ALL_FAMILIES has korobov at alpha = 0.75
     specs = ALL_FAMILIES + [KernelSpec("sobolev-distance", a=a) for a in (0.0, 1e-12, 1 - 1e-12)]
     for spec in specs:
         if spec.a in (0.0, 1.0):   # the anchors at the ends have the sobolev-min Gram
@@ -191,16 +193,42 @@ def test_solver_choice():
         else:
             want = fixed.get(spec.family, "anchored")
         assert nystrom_solver(spec) == want, spec.label()
+    # the Bernoulli orders 2 alpha = 2, 4, 6 of the korobov series, and no other
+    for alpha in (1.0, 2.0, 3.0, 3 + 1e-14):
+        assert nystrom_solver(KernelSpec("korobov", alpha=alpha, beta=0.5)) == "aliased", alpha
+    for alpha in (1.5, 4.0, 2 + 1e-12):
+        assert nystrom_solver(KernelSpec("korobov", alpha=alpha, beta=0.5)) == "circulant-fft", alpha
 
 
 @pytest.mark.parametrize("m", SIZES + [10 ** 6])
 def test_korobov_is_circulant_fft_at_every_count(m):
     grid = midpoint_grid(m)
-    full = nystrom_spectrum(KOR, grid, m).values
-    for count in sorted({1, 2, 5, m // 6, m - 1, m} & set(range(1, m + 1))):
-        assert nystrom_solver(KOR) == "circulant-fft"
-        # one FFT gives all m eigenvalues: each count reads a prefix of them
-        assert nystrom_spectrum(KOR, grid, count).values.tobytes() == full[:count].tobytes()
+    for spec, solver in ((KOR, "aliased"), (KOR_FFT, "circulant-fft")):
+        assert nystrom_solver(spec) == solver
+        full = nystrom_spectrum(spec, grid, m).values
+        for count in sorted({1, 2, 5, m // 6, m - 1, m} & set(range(1, m + 1))):
+            # each count reads a prefix of the whole spectrum
+            got = nystrom_spectrum(spec, grid, count).values
+            assert got.tobytes() == full[:count].tobytes(), (solver, count)
+
+
+KOROBOV_BERNOULLI = [KernelSpec("korobov", alpha=n, beta=b)
+                     for n in (1.0, 2.0, 3.0) for b in (0.05, 0.5, 0.9, 1.0)]
+
+
+@pytest.mark.parametrize("spec", KOROBOV_BERNOULLI, ids=lambda s: s.label())
+def test_aliased_matches_the_fft_and_dense_eigvalsh(spec):
+    # the closed form against the FFT of a Gram row and a dense solve, at
+    # every count; at m = 2 and beta >= 0.9, mu_1 exceeds mu_0 (alpha = 1:
+    # 2.22 against 1.74 at beta = 0.9)
+    for m in list(range(1, 41)) + [500]:
+        grid = midpoint_grid(m)
+        fft = nystrom._circulant_eigenvalues(spec, grid, m)
+        dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
+        for count in range(1, m + 1) if m <= 40 else (1, 2, 5, 6, 250, 499, 500):
+            got = nystrom._aliased_eigenvalues(spec, grid, count)
+            assert np.max(np.abs(got - fft[:count])) <= 1e-12 * fft[0], (m, count)
+            assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0], (m, count)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 64, 501])
@@ -269,17 +297,25 @@ def test_trigonometric_ffts_match_closed_forms(m):
         assert np.max(np.abs(got - exact)) <= 1e-15 * exact[0], spec
 
 
-@pytest.mark.parametrize("spec", [COSH, BROWNIAN], ids=lambda s: s.label())
+KOROBOV_ORDERS = [KernelSpec("korobov", alpha=n, beta=0.5) for n in (1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("spec", [COSH, BROWNIAN] + KOROBOV_ORDERS, ids=lambda s: s.label())
 def test_closed_forms_at_a_petascale_grid_are_the_analytic_rules(spec):
     # the O(m^-2) quadrature error at m = 10^15 is far below double precision
     got = nystrom_spectrum(spec, midpoint_grid(10 ** 15), 5).values
     j = np.arange(1, 6)
-    analytic = 1.0 / (1.0 + (np.pi * (j - 1)) ** 2) if spec == COSH else 1.0 / (np.pi * (j - 0.5)) ** 2
+    if spec.family == "korobov":
+        analytic = korobov_eigenvalues(spec.alpha, spec.beta, 5).values
+    elif spec == COSH:
+        analytic = 1.0 / (1.0 + (np.pi * (j - 1)) ** 2)
+    else:
+        analytic = 1.0 / (np.pi * (j - 0.5)) ** 2
     np.testing.assert_allclose(got, analytic, rtol=1e-12)
 
 
-@pytest.mark.parametrize("spec", [COSH, BROWNIAN, MIN, KernelSpec("sobolev-distance", a=0.3)],
-                         ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", [COSH, BROWNIAN, MIN, KernelSpec("sobolev-distance", a=0.3)]
+                         + KOROBOV_ORDERS, ids=lambda s: s.label())
 def test_closed_form_solvers_allocate_no_grid_sized_array(spec):
     grid = midpoint_grid(10 ** 6)   # an m-sized float array alone takes 8 MB
     tracemalloc.start()
@@ -306,7 +342,7 @@ def test_count_is_a_positive_integer(solve, count):
 @pytest.mark.parametrize("spec, m", [(HALF, 2000), (KOR, 2000), (HALF, 20), (MIN, 2000),
                                      (KernelSpec("sobolev-distance", a=0.3), 10 ** 6)])
 def test_repeated_solves_are_bitwise_equal(spec, m):
-    grid = midpoint_grid(m)   # anchored, circulant-fft, anchored, secular, anchored
+    grid = midpoint_grid(m)   # anchored, aliased, anchored, secular, anchored
     a = nystrom_spectrum(spec, grid, 5).values
     b = nystrom_spectrum(spec, grid, 5).values
     assert a.tobytes() == b.tobytes()
@@ -341,6 +377,32 @@ def test_secular_matches_dense_eigvalsh(spec, data):
     dense = scipy.linalg.eigvalsh(weighted_kernel_matrix(spec, grid))[::-1]
     got = nystrom_spectrum(spec, grid, count).values
     assert np.max(np.abs(got - dense[:count])) <= 1e-12 * dense[0]
+
+
+def _min_kernel_roots_newton(count, m, steps=12):
+    """The roots of `eigensolve._min_kernel_roots` by `steps` Newton steps on
+    y = alpha - (j - 1) pi from arctan(1 / ((j - 1) pi + 0.8)), 0.86 for j = 1."""
+    c = np.arange(count) * math.pi
+    y = np.arctan(1.0 / (c + 0.8))
+    y[0] = 0.86
+    for _ in range(steps):
+        a = c + y
+        if m is None:
+            h, dh = a, 1.0
+        else:
+            t = np.tan(a / (2 * m))
+            h, dh = 2 * m * t, 1.0 + t * t
+        y -= (y - np.arctan(1.0 / h)) / (1.0 + dh / (1.0 + h * h))
+    return c + y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), st.integers(1, 200), st.integers(1, 10 ** 15)), st.data())
+def test_min_kernel_roots_match_twelve_newton_steps(m, data):
+    count = data.draw(st.integers(1, min(m or 2000, 2000)))
+    got = _min_kernel_roots(count, m)
+    want = _min_kernel_roots_newton(count, m)
+    assert np.max(np.abs(got - want) / want) <= 5e-16
 
 
 def _secular_eigenvalue_mpmath(m, j):
