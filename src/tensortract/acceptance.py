@@ -22,7 +22,7 @@ from .complexity import (ComplexityQuery, brute_force_count,
                          initial_error_ratio_integration, qpt_exponent)
 from .eigensolve import (family_eigenvalues, korobov_eigenvalues,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
-                         sobolev_min_eigenvalues, solve_cot_root)
+                         sobolev_min_eigenvalues)
 from .nystrom import midpoint_grid, nystrom_spectrum, richardson_refine
 from .reduction import (piecewise_constant_instance, cube_mean_functional,
                         minimal_error_std, random_problem,
@@ -79,11 +79,12 @@ def _flag(cid, desc, ok, perturb) -> CriterionRow:
 # ---------------------------------------------------------------------------
 
 def c01_min_kernel_eigenvalues(perturb=False):
+    lam = sobolev_min_eigenvalues(2).values
     return [
         _close("1", "sobolev-min lambda_1 = alpha_1^-2", LAMBDA1_MIN_KERNEL,
-               solve_cot_root(1) ** -2, 1e-7, perturb),
+               lam[0], 1e-7, perturb),
         _close("1", "sobolev-min lambda_2 = alpha_2^-2", LAMBDA2_MIN_KERNEL,
-               solve_cot_root(2) ** -2, 1e-7, perturb),
+               lam[1], 1e-7, perturb),
     ]
 
 
@@ -252,9 +253,18 @@ def c09_e0_characterization(perturb=False):
     ]
 
 
-# 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree
-# up to 39; computed once, since leggauss costs about 0.4 ms a call
-_GL_NODES, _GL_WEIGHTS = (rule.tolist() for rule in np.polynomial.legendre.leggauss(20))
+# 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree up to
+# 39: the reprs of numpy's leggauss(20), which is exactly symmetric about 0, so
+# only its positive half is written out (importing numpy.polynomial costs 4 ms)
+_GL_HALF_NODES = [0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+                  0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+                  0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095]
+_GL_HALF_WEIGHTS = [0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+                    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+                    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+                    0.017614007139150893]
+_GL_NODES = [-t for t in _GL_HALF_NODES[::-1]] + _GL_HALF_NODES
+_GL_WEIGHTS = _GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS
 
 
 def _gauss_legendre(f, a, b):

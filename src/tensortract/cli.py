@@ -21,8 +21,8 @@ import numpy as np
 
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
-from .eigensolve import (ANALYTIC_FAMILIES, family_eigenpair, family_eigenvalues,
-                         family_exact_decay, sobolev_min_eigenpair)
+from .eigensolve import (ANALYTIC_FAMILIES, family_count_bound, family_eigenpairs,
+                         family_eigenvalues, family_exact_decay, sobolev_min_eigenpair)
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -127,18 +127,18 @@ def cmd_eigs(args) -> int:
     spec = _family_spec(args)
     if args.count > _MAX_EIGENVALUES:
         raise ResourceLimitError(f"--count {args.count} exceeds 2^21 eigenpairs")
-    if args.count < 1:
-        raise ParameterError("count must be >= 1")
-    pairs = [family_eigenpair(spec, j) for j in range(1, args.count + 1)]
-    keys = sorted(pairs[0].params)
+    values, params = family_eigenpairs(spec, args.count)
+    keys = sorted(params)
     header = ["j", "lambda"] + keys
-    rows = [[p.index, p.value] + [p.params[k] for k in keys] for p in pairs]
-    payload = {
-        "family": spec.label(),
-        "exact_decay": family_exact_decay(spec),
-        "eigenpairs": [dict(zip(header, row)) for row in rows],
-    }
-    _emit(args, header, rows, payload)
+    columns = [range(1, args.count + 1), values.tolist()] + [params[k].tolist() for k in keys]
+    payload = None
+    if args.format == "json":   # one dict per row only where it is written
+        payload = {
+            "family": spec.label(),
+            "exact_decay": family_exact_decay(spec),
+            "eigenpairs": [dict(zip(header, row)) for row in zip(*columns)],
+        }
+    _emit(args, header, zip(*columns), payload)
     return EXIT_OK
 
 
@@ -171,16 +171,11 @@ def cmd_oracle_eigs(args) -> int:
 def cmd_complexity(args) -> int:
     spec = _family_spec(args)
     query = ComplexityQuery(eps=args.eps, d=args.d, info_class=args.info_class)
-    count = 64
-    while True:
-        try:
-            result = count_info_complexity_all(family_eigenvalues(spec, count), query)
-            break
-        except TruncationError as exc:
-            count *= 2
-            if count > _MAX_EIGENVALUES:
-                raise ResourceLimitError("eps requires more than 2^21 univariate "
-                                         "eigenvalues") from exc
+    # one eigenvalue past the closed-form bound ends the list below every counted one
+    length = family_count_bound(spec, query.eps) + 1
+    if length > _MAX_EIGENVALUES:
+        raise ResourceLimitError("eps requires more than 2^21 univariate eigenvalues")
+    result = count_info_complexity_all(family_eigenvalues(spec, int(length)), query)
     header = ["family", "d", "eps", "info_class", "count", "saturated",
               "lower_bound_only", "truncation_index", "tie_tolerance", "method"]
     row = [spec.label(), args.d, args.eps, args.info_class, result.count,

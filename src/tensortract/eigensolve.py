@@ -1,7 +1,9 @@
 """Analytic eigenpairs and eigenvalue sequences for the kernel families.
 
+`family_eigenpairs` holds every family's eigenvalues and eigenfunction
+constants as one table of arrays, and every other function here reads it.
 The min-kernel Sobolev space gets its eigenvalues from the transcendental
-equation cot x = x (one root per interval ((j-1) pi, j pi)); the cosh-kernel
+equation cot x = x (root j in ((j-1) pi, (j-1/2) pi)); the cosh-kernel
 Sobolev space follows the Neumann-cosine rule 1 / (1 + pi^2 (j-1)^2); the
 korobov family has the fully explicit spectrum {1} + {beta k^(-2 alpha),
 each twice}.
@@ -13,52 +15,22 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .spectra import Eigenpair, EigenSequence, KernelSpec, _check_count
+
+_MIN = KernelSpec("sobolev-min")
+_COSH = KernelSpec("sobolev-cosh")
 
 # The families with an analytic eigenvalue and eigenpair rule.
 ANALYTIC_FAMILIES = ("sobolev-min", "sobolev-cosh", "korobov")
 
-# Bisection width before the final Newton polish.
-_BISECT_ATOL = 1e-13
-# Offset keeping the bracket away from the cot singularities at multiples of pi.
-_BRACKET_PAD = 1e-9
 # Newton steps of `_min_kernel_roots` after its fixed-point pass: two agree with
 # twelve to 2.7e-16 relative at every m from 1 to 199, at 10^3 to 10^15 and for
 # the continuum.
 _NEWTON_STEPS = 2
-
-
-def _cot_minus_x(x: float) -> float:
-    return math.cos(x) / math.sin(x) - x
-
-
-def solve_cot_root(j: int) -> float:
-    """Root alpha_j of cot x = x strictly inside ((j-1) pi, j pi).
-
-    Bisection (unconditionally convergent on the bracket: cot x - x falls
-    from +inf to -inf across each interval) down to 1e-13, then two Newton
-    steps to restore full double precision.
-    """
-    if j < 1:
-        raise ParameterError(f"root index must be >= 1, got {j}")
-    lo = (j - 1) * math.pi + _BRACKET_PAD
-    hi = j * math.pi - _BRACKET_PAD
-    if not (_cot_minus_x(lo) > 0.0 > _cot_minus_x(hi)):
-        raise NumericError(f"cot-root bracket lost its sign change for j={j}")
-    while hi - lo > _BISECT_ATOL:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval already at ulp resolution
-        if _cot_minus_x(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        s = math.sin(x)
-        x -= (math.cos(x) / s - x) / (-1.0 / (s * s) - 1.0)
-    return x
+# alpha_1 = 0.86033358901937976..., rounded up: bounds the sobolev-min count
+# above lambda_1 eps^2 before any root is solved
+_ALPHA1_ABOVE = 0.8603335890193798
 
 
 def _min_kernel_roots(count: int, m: int | None = None) -> np.ndarray:
@@ -105,85 +77,44 @@ def _min_kernel_roots(count: int, m: int | None = None) -> np.ndarray:
     return c + y
 
 
-def sobolev_min_eigenpair(j: int) -> Eigenpair:
-    """Eigenpair of the min-kernel Sobolev space: lambda_j = alpha_j^(-2).
-
-    The eigenfunction eta_j(x) = beta_j cos(alpha_j x - alpha_j) has unit
-    norm for ||f||^2 = f(0)^2 + int f'(x)^2 dx, which forces
-    beta_j = (cos^2 alpha_j + (alpha_j / 2)(alpha_j - sin(2 alpha_j) / 2))^(-1/2).
+def family_eigenpairs(spec: KernelSpec, count: int) -> tuple[np.ndarray, dict]:
+    """lambda_1 >= ... >= lambda_count of an analytic family and the constants
+    of each eigenfunction eta_j, as arrays of length count:
+    - sobolev-min: lambda_j = alpha_j^-2, alpha_j the j-th root of cot x = x,
+      and eta_j(x) = beta_j cos(alpha_j x - alpha_j), whose unit norm for
+      ||f||^2 = f(0)^2 + int f'^2 forces
+      beta_j^-2 = cos^2 alpha_j + (alpha_j / 2)(alpha_j - sin(2 alpha_j) / 2);
+      at a root cos^2 alpha = alpha^2 / (1 + alpha^2) and
+      sin 2 alpha = 2 alpha / (1 + alpha^2), so that is
+      alpha_j^2 (2 + alpha_j^2) / (2 (1 + alpha_j^2));
+    - sobolev-cosh (norm int f^2 + int f'^2): alpha_j = (j - 1) pi,
+      lambda_j = 1 / (1 + alpha_j^2) and eta_j(x) = beta_j cos(alpha_j x),
+      beta_j = sqrt(2 lambda_j), beta_1 = 1;
+    - korobov: harmonic k = floor(j / 2), lambda_1 = 1 and eta_1 = 1, then
+      lambda_j = beta k^(-2 alpha) and eta_j(x) = sqrt(2 lambda_j) cos(2 pi k x)
+      for even j, sin(2 pi k x) for odd j.
     """
-    a = solve_cot_root(j)
-    b = (math.cos(a) ** 2 + 0.5 * a * (a - 0.5 * math.sin(2.0 * a))) ** -0.5
-
-    def eta(x, a=a, b=b):
-        return b * np.cos(a * np.asarray(x, dtype=float) - a)
-
-    return Eigenpair(index=j, value=a ** -2, params={"alpha": a, "beta": b}, func=eta)
-
-
-def sobolev_min_eigenvalues(count: int) -> EigenSequence:
     _check_count(count)
-    return EigenSequence(_min_kernel_roots(count) ** -2, source="analytic-rule", exact_decay=2.0)
-
-
-def sobolev_cosh_eigenpair(j: int) -> Eigenpair:
-    """Eigenpair for the cosh-kernel Sobolev space (norm int f^2 + int f'^2).
-
-    eta_j(x) = beta_j cos((j-1) pi x) with lambda_j = 1 / (1 + pi^2 (j-1)^2).
-    """
-    if j < 1:
-        raise ParameterError("index must be >= 1")
-    mu = (math.pi * (j - 1)) ** 2
-    lam = 1.0 / (1.0 + mu)
-    b = 1.0 if j == 1 else math.sqrt(2.0 * lam)
-    freq = math.pi * (j - 1)
-
-    def eta(x, f=freq, b=b):
-        return b * np.cos(f * np.asarray(x, dtype=float))
-
-    return Eigenpair(index=j, value=lam, params={"alpha": freq, "beta": b}, func=eta)
-
-
-def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
-    """{1, 1/(1+pi^2), 1/(1+4 pi^2), ...}; certified against the quadrature
-    oracle before being relied on (see the nystrom module tests)."""
-    _check_count(count)
-    j = np.arange(count, dtype=float)
-    vals = 1.0 / (1.0 + (math.pi * j) ** 2)
-    return EigenSequence(vals, source="analytic-rule", exact_decay=2.0)
-
-
-def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
-    """{1} followed by beta * k^(-2 alpha), each with multiplicity 2."""
-    _check_count(count)
-    KernelSpec("korobov", alpha=alpha, beta=beta)   # validates alpha and beta
-    kmax = (count + 1) // 2
-    pairs = beta * np.arange(1, kmax + 1, dtype=float) ** (-2.0 * alpha)
-    vals = np.sort(np.concatenate([[1.0], np.repeat(pairs, 2)]))[::-1][:count]
-    return EigenSequence(vals, source="analytic-rule", exact_decay=2.0 * alpha)
-
-
-def _korobov_eigenpair(alpha: float, beta: float, j: int) -> Eigenpair:
-    if j == 1:
-        return Eigenpair(index=1, value=1.0, params={"harmonic": 0.0},
-                         func=lambda x: np.ones_like(np.asarray(x, dtype=float)))
-    k = j // 2
-    lam = beta * k ** (-2.0 * alpha)
-    scale = math.sqrt(2.0 * beta) * k ** (-alpha)
-    w = 2.0 * math.pi * k
-    wave = np.cos if j % 2 == 0 else np.sin
-    return Eigenpair(index=j, value=lam, params={"harmonic": float(k)},
-                     func=lambda x: scale * wave(w * np.asarray(x, dtype=float)))
+    if spec.family == "sobolev-min":
+        a = _min_kernel_roots(count)
+        a2 = a * a
+        return a ** -2, {"alpha": a, "beta": np.sqrt(2.0 * (1.0 + a2) / (a2 * (2.0 + a2)))}
+    if spec.family == "sobolev-cosh":
+        freq = math.pi * np.arange(count, dtype=float)
+        lam = 1.0 / (1.0 + freq ** 2)
+        beta = np.sqrt(2.0 * lam)
+        beta[0] = 1.0
+        return lam, {"alpha": freq, "beta": beta}
+    if spec.family == "korobov":
+        k = np.repeat(np.arange(1, (count + 1) // 2 + 1, dtype=float), 2)
+        lam = np.concatenate([[1.0], spec.beta * k ** (-2.0 * spec.alpha)])[:count]
+        return lam, {"harmonic": np.concatenate([[0.0], k])[:count]}
+    raise ParameterError(f"no analytic eigenpair rule for family {spec.family!r}")
 
 
 def family_eigenvalues(spec: KernelSpec, count: int) -> EigenSequence:
-    if spec.family == "sobolev-min":
-        return sobolev_min_eigenvalues(count)
-    if spec.family == "sobolev-cosh":
-        return sobolev_cosh_eigenvalues(count)
-    if spec.family == "korobov":
-        return korobov_eigenvalues(spec.alpha, spec.beta, count)
-    raise ParameterError(f"no analytic eigenvalue rule for family {spec.family!r}")
+    return EigenSequence(family_eigenpairs(spec, count)[0], source="analytic-rule",
+                         exact_decay=family_exact_decay(spec))
 
 
 def family_exact_decay(spec: KernelSpec) -> float:
@@ -192,10 +123,61 @@ def family_exact_decay(spec: KernelSpec) -> float:
 
 
 def family_eigenpair(spec: KernelSpec, j: int) -> Eigenpair:
-    if spec.family == "sobolev-min":
-        return sobolev_min_eigenpair(j)
-    if spec.family == "sobolev-cosh":
-        return sobolev_cosh_eigenpair(j)
+    """Row j of `family_eigenpairs` together with its eigenfunction eta_j."""
+    values, params = family_eigenpairs(spec, j)
+    lam = float(values[-1])
+    consts = {key: float(col[-1]) for key, col in params.items()}
     if spec.family == "korobov":
-        return _korobov_eigenpair(spec.alpha, spec.beta, j)
-    raise ParameterError(f"no analytic eigenpair rule for family {spec.family!r}")
+        w = 2.0 * math.pi * consts["harmonic"]
+        scale = math.sqrt(2.0 * lam) if j > 1 else 1.0
+        wave = np.sin if j % 2 and j > 1 else np.cos
+
+        def eta(x):
+            return scale * wave(w * np.asarray(x, dtype=float))
+    else:
+        a, b = consts["alpha"], consts["beta"]
+        shift = a if spec.family == "sobolev-min" else 0.0
+
+        def eta(x):
+            return b * np.cos(a * np.asarray(x, dtype=float) - shift)
+
+    return Eigenpair(index=j, value=lam, params=consts, func=eta)
+
+
+def family_count_bound(spec: KernelSpec, eps: float) -> float:
+    """An upper bound on #{j : lambda_j > lambda_1 eps^2}, from each family's
+    closed form and with no root solved; inf past the range of a double:
+    - sobolev-min: lambda_j > lambda_1 eps^2 means alpha_j < alpha_1 / eps,
+      and alpha_j > (j - 1) pi;
+    - sobolev-cosh: (j - 1)^2 pi^2 < 1 / eps^2 - 1;
+    - korobov: lambda_1 = 1, and twice each k < (beta / eps^2)^(1 / 2 alpha).
+    """
+    with np.errstate(over="ignore"):
+        if spec.family == "sobolev-min":
+            return float(np.floor(_ALPHA1_ABOVE / (math.pi * eps))) + 1.0
+        if spec.family == "sobolev-cosh":
+            return float(np.floor(math.sqrt(1.0 / eps / eps - 1.0) / math.pi)) + 1.0
+        if spec.family == "korobov":
+            k = np.exp((math.log(spec.beta) - 2.0 * math.log(eps)) / (2.0 * spec.alpha))
+            return 2.0 * float(np.floor(k)) + 1.0
+    raise ParameterError(f"no analytic eigenvalue rule for family {spec.family!r}")
+
+
+def sobolev_min_eigenpair(j: int) -> Eigenpair:
+    return family_eigenpair(_MIN, j)
+
+
+def sobolev_min_eigenvalues(count: int) -> EigenSequence:
+    return family_eigenvalues(_MIN, count)
+
+
+def sobolev_cosh_eigenpair(j: int) -> Eigenpair:
+    return family_eigenpair(_COSH, j)
+
+
+def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
+    return family_eigenvalues(_COSH, count)
+
+
+def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
+    return family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), count)

@@ -1,6 +1,12 @@
 """End-to-end acceptance suite: every headline value and property at its
 stated tolerance, one printed pass/fail line per criterion."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
+
 from tensortract import acceptance
 
 
@@ -82,3 +88,18 @@ def test_fail_hook_fails_every_oracle_row():
 def test_run_all_covers_every_criterion():
     rows = acceptance.run_all(only={"1", "3"})
     assert {r.criterion_id for r in rows} == {"1", "3"}
+
+
+def test_gauss_legendre_table_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert acceptance._GL_NODES == nodes.tolist()
+    assert acceptance._GL_WEIGHTS == weights.tolist()
+
+
+def test_acceptance_import_loads_no_numpy_polynomial():
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, tensortract.acceptance; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "False"

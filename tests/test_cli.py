@@ -11,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensortract
-from tensortract import (ComplexityQuery, NumericError, count_info_complexity_all,
+from tensortract import (ComplexityQuery, KernelSpec, NumericError, ResourceLimitError,
+                         TruncationError, count_info_complexity_all, family_eigenvalues,
                          korobov_eigenvalues, sobolev_min_eigenvalues)
 from tensortract.cli import _write_json, build_parser, main
+from tensortract.complexity import _effective_budget, _participating_weights
+from tensortract.eigensolve import family_count_bound
 
 
 def run(args):
@@ -55,14 +58,37 @@ def test_eigs_cosh_json(tmp_path):
     assert lams[1] == pytest.approx(0.091999668, abs=1e-9)
 
 
-def test_eigs_solves_each_root_once(monkeypatch, capsys):
+def _count_root_solves(monkeypatch):
+    """Record the count of every `_min_kernel_roots` call."""
     calls = []
-    solve = tensortract.eigensolve.solve_cot_root
-    monkeypatch.setattr(tensortract.eigensolve, "solve_cot_root",
-                        lambda j: calls.append(j) or solve(j))
+    solve = tensortract.eigensolve._min_kernel_roots
+    monkeypatch.setattr(tensortract.eigensolve, "_min_kernel_roots",
+                        lambda count, m=None: calls.append(count) or solve(count, m))
+    return calls
+
+
+def test_eigs_solves_each_root_once(monkeypatch, capsys):
+    # one vector solve of all the roots, never one solve per row
+    calls = _count_root_solves(monkeypatch)
     assert run(["eigs", "--family", "sobolev-min", "--count", "20", "--format", "json"]) == 0
-    assert sorted(calls) == list(range(1, 21))
+    assert calls == [20]
     assert json.loads(capsys.readouterr().out)["exact_decay"] == 2.0
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
+    KernelSpec("korobov", alpha=0.75, beta=0.9), KernelSpec("korobov", alpha=1.0, beta=1.0),
+    KernelSpec("korobov", alpha=2.3, beta=0.37)], ids=lambda spec: spec.label())
+def test_eigs_lambda_is_the_counted_list(tmp_path, spec):
+    # eigs writes the very values complexity and classify count, bit for bit
+    out = tmp_path / "eigs.csv"
+    flags = ["--alpha", str(spec.alpha), "--beta", str(spec.beta)] if spec.alpha else []
+    assert run(["eigs", "--family", spec.family, *flags, "--count", "3000",
+                "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [int(row[0]) for row in rows] == list(range(1, 3001))
+    np.testing.assert_array_equal([float(row[1]) for row in rows],
+                                  family_eigenvalues(spec, 3000).values)
 
 
 def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):
@@ -152,7 +178,7 @@ def test_complexity_std_lower_bound(capsys):
     assert data["lower_bound_only"] is True
 
 
-def test_complexity_doubles_the_list_until_it_resolves(monkeypatch, capsys):
+def test_complexity_builds_one_list_of_the_closed_form_length(monkeypatch, capsys):
     sizes = []
     build = tensortract.cli.family_eigenvalues
     monkeypatch.setattr(tensortract.cli, "family_eigenvalues",
@@ -160,11 +186,94 @@ def test_complexity_doubles_the_list_until_it_resolves(monkeypatch, capsys):
     assert run(["complexity", "--family", "sobolev-min", "--eps", "1e-3", "--d", "2",
                 "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert sizes == [64, 128, 256, 512]
+    # alpha_j > (j - 1) pi bounds the 274 counted indices by floor(alpha_1 / (pi eps)) + 1
+    assert sizes == [math.floor(0.8603335890193798 / (math.pi * 1e-3)) + 2] == [275]
     long = count_info_complexity_all(sobolev_min_eigenvalues(4096),
                                      ComplexityQuery(eps=1e-3, d=2))
     assert (data["count"], data["truncation_index"]) == (long.count, long.truncation_index)
     assert (long.count, long.truncation_index) == (865, 274)
+
+
+@pytest.mark.parametrize("eps", ["1e-9", "1e-300"])
+def test_complexity_refuses_a_tiny_eps_before_any_root_is_solved(monkeypatch, capsys, eps):
+    calls = _count_root_solves(monkeypatch)
+    assert run(["complexity", "--family", "sobolev-min", "--d", "3", "--eps", eps]) == 3
+    assert "more than 2^21 univariate eigenvalues" in capsys.readouterr().err
+    assert calls == []
+
+
+def _doubling_loop(spec, eps):
+    """Oracle for the closed-form list length: the list that doubling from 64
+    first resolves at eps, refusing past 2^21 eigenvalues."""
+    budget = _effective_budget(eps)
+    count = 64
+    while True:
+        lam = family_eigenvalues(spec, count)
+        try:
+            _participating_weights(lam, budget)
+            return lam
+        except TruncationError as exc:
+            count *= 2
+            if count > 2 ** 21:
+                raise ResourceLimitError("past 2^21") from exc
+
+
+@st.composite
+def _count_cases(draw):
+    spec = draw(st.one_of(
+        st.sampled_from([KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh")]),
+        st.builds(lambda alpha, beta: KernelSpec("korobov", alpha=alpha, beta=beta),
+                  st.floats(0.55, 4.0), st.one_of(st.just(1.0), st.floats(0.01, 1.0)))))
+    eps = 10.0 ** draw(st.floats(-6.0, -0.01))
+    # d > 1 only where the count stays cheap
+    d = draw(st.integers(1, 3)) if eps > 0.01 else 1
+    return spec, ComplexityQuery(eps=eps, d=d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_count_cases())
+def test_closed_form_length_matches_the_doubling_loop(case):
+    spec, query = case
+    length = family_count_bound(spec, query.eps) + 1
+    if length > 2 ** 21:   # refused, and so by the loop
+        with pytest.raises(ResourceLimitError, match="past 2"):
+            _doubling_loop(spec, query.eps)
+        return
+    lam, want = family_eigenvalues(spec, int(length)), _doubling_loop(spec, query.eps)
+    budget = _effective_budget(query.eps)
+    # the list never raises, and the same participating weights give the same
+    # count at every d; counting 10^4 of them or more takes too long here
+    w = _participating_weights(lam, budget)
+    np.testing.assert_array_equal(w, _participating_weights(want, budget))
+    if len(w) < 10 ** 4:
+        got, ref = count_info_complexity_all(lam, query), count_info_complexity_all(want, query)
+        assert (got.count, got.truncation_index) == (ref.count, ref.truncation_index)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
+                                  KernelSpec("korobov", alpha=0.75, beta=0.9)],
+                         ids=lambda spec: spec.label())
+def test_complexity_refusal_edge_at_two_to_the_21(spec):
+    """The closed form refuses every eps up to `edge`, where a 2^21-long list
+    would need one more eigenvalue; the doubling loop refused only up to 5e-13
+    relative below it, so in between its 2^21-long list still resolved."""
+    # bisect on the bit patterns, which positive doubles share the order of
+    lo, hi = (int(np.float64(eps).view(np.int64)) for eps in (1e-9, 1e-3))   # refused, resolved
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if family_count_bound(spec, float(np.int64(mid).view(np.float64))) + 1 > 2 ** 21:
+            lo = mid
+        else:
+            hi = mid
+    edge, above = (float(np.int64(bits).view(np.float64)) for bits in (lo, hi))
+    assert family_count_bound(spec, above) + 1 <= 2 ** 21
+    assert run(["complexity", "--family", spec.family, "--d", "1", "--eps", repr(edge)]
+               + (["--alpha", "0.75", "--beta", "0.9"] if spec.alpha else [])) == 3
+    lam = family_eigenvalues(spec, 2 ** 21)
+    for eps in (above, edge):   # the doubling loop's last list resolves both
+        assert len(_participating_weights(lam, _effective_budget(eps))) < 2 ** 21
+    with pytest.raises(TruncationError):   # and both refuse below the window
+        _participating_weights(lam, _effective_budget(edge * (1.0 - 1e-12)))
 
 
 def test_classify_command(capsys):
@@ -445,8 +554,8 @@ def test_file_that_is_not_utf8_is_named(tmp_path, capsys, argv):
 
 # argument values for the fuzz: small valid numbers, out-of-range and
 # non-numeric ones, and the bad paths of _bad_paths
-_FUZZ_VALUES = ["1", "2", "3", "0.5", "0.1", "0.001", "0", "-1", "nan", "inf", "-inf",
-                "", "x", "{missing}", "{dir}", "{binary}"]
+_FUZZ_VALUES = ["1", "2", "3", "0.5", "0.1", "0.001", "1e-300", "0", "-1", "nan", "inf",
+                "-inf", "", "x", "{missing}", "{dir}", "{binary}"]
 # criteria that take milliseconds, and one unknown id
 _FUZZ_CRITERIA = ["1", "3", "4", "6", "13", "1,13", "99"]
 
@@ -483,7 +592,6 @@ def _fuzz_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_fuzz_argv())
 def test_cli_fuzz_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
-    # eps never goes below 1e-3, so the slow refusal of a tiny eps stays out
     monkeypatch.chdir(tmp_path)
     paths = _bad_paths(tmp_path)
     try:

@@ -5,14 +5,57 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tensortract import (KernelSpec, ParameterError, kernel_eval, korobov_eigenvalues,
+from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenpair,
+                         family_eigenpairs, family_eigenvalues, kernel_eval, korobov_eigenvalues,
                          sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
-                         sobolev_min_eigenpair, sobolev_min_eigenvalues, solve_cot_root)
+                         sobolev_min_eigenpair, sobolev_min_eigenvalues)
+from tensortract.eigensolve import _ALPHA1_ABOVE, _min_kernel_roots
 
 # frozen by an independent 200-iteration bisection of cot x - x
 ALPHA1 = 0.8603335890193797
 LAMBDA1 = 1.3510338868783787
 LAMBDA2 = 0.08521617165090602
+
+# Bisection width before the final Newton polish.
+_BISECT_ATOL = 1e-13
+# Offset keeping the bracket away from the cot singularities at multiples of pi.
+_BRACKET_PAD = 1e-9
+
+
+def _cot_minus_x(x: float) -> float:
+    return math.cos(x) / math.sin(x) - x
+
+
+def solve_cot_root(j: int) -> float:
+    """Oracle for `_min_kernel_roots`: root alpha_j of cot x = x strictly inside
+    ((j-1) pi, j pi), one scalar at a time.
+
+    Bisection (unconditionally convergent on the bracket: cot x - x falls
+    from +inf to -inf across each interval) down to 1e-13, then two Newton
+    steps to restore full double precision.
+    """
+    lo = (j - 1) * math.pi + _BRACKET_PAD
+    hi = j * math.pi - _BRACKET_PAD
+    if not (_cot_minus_x(lo) > 0.0 > _cot_minus_x(hi)):
+        raise NumericError(f"cot-root bracket lost its sign change for j={j}")
+    while hi - lo > _BISECT_ATOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval already at ulp resolution
+        if _cot_minus_x(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    for _ in range(2):
+        s = math.sin(x)
+        x -= (math.cos(x) / s - x) / (-1.0 / (s * s) - 1.0)
+    return x
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
 
 
 def test_first_roots_frozen():
@@ -47,9 +90,12 @@ def test_roots_monotone():
 
 
 def test_vectorized_roots_match_the_scalar_solver():
-    got = sobolev_min_eigenvalues(2000).values
-    ref = np.array([solve_cot_root(j) ** -2 for j in range(1, 2001)])
-    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+    # the largest distances over j <= 2 * 10^4 are 2 ulps in alpha_j and 4 in lambda_j
+    roots = np.array([solve_cot_root(j) for j in range(1, 20001)])
+    assert _ulps(_min_kernel_roots(20000), roots).max() <= 2.0
+    lam = sobolev_min_eigenvalues(20000).values
+    assert _ulps(lam, roots ** -2).max() <= 5.0
+    assert np.max(np.abs(lam - roots ** -2) * roots ** 2) <= 1e-15
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 10, 1000, 2 ** 16])
@@ -64,8 +110,19 @@ def test_vectorized_roots_match_mpmath(j):
 
 
 def test_invalid_root_index():
+    for family in ("sobolev-min", "sobolev-cosh"):
+        for j in (0, -1, 1.0):
+            with pytest.raises(ParameterError):
+                family_eigenpair(KernelSpec(family), j)
     with pytest.raises(ParameterError):
-        solve_cot_root(0)
+        family_eigenpair(KernelSpec("korobov", alpha=1.0, beta=0.5), 0)
+
+
+def test_alpha1_bound_rounds_the_root_up():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: mpmath.cot(x) - x, 0.86)
+        assert _ALPHA1_ABOVE > root
+    assert _ALPHA1_ABOVE == np.nextafter(_min_kernel_roots(1)[0], 1.0)
 
 
 def _min_derivative(p, x):
@@ -84,6 +141,11 @@ def test_min_kernel_eigenfunction_unit_norm():
     for j in (1, 2, 3):
         p = sobolev_min_eigenpair(j)
         assert _sobolev_min_inner(p, p) == pytest.approx(1.0, abs=1e-9)
+    # the table's trig-free beta_j against the norm's own formula
+    _, params = family_eigenpairs(KernelSpec("sobolev-min"), 20000)
+    a = params["alpha"]
+    beta = (np.cos(a) ** 2 + 0.5 * a * (a - 0.5 * np.sin(2.0 * a))) ** -0.5
+    assert _ulps(params["beta"], beta).max() <= 3.0
 
 
 def test_min_kernel_orthonormality():
@@ -170,3 +232,54 @@ def test_invalid_korobov_parameters():
         korobov_eigenvalues(1.0, 0.0, 3)
     with pytest.raises(ParameterError):
         korobov_eigenvalues(math.inf, 0.5, 3)   # k^-inf would give 1, beta, beta, 0, ...
+
+
+ANALYTIC_SPECS = [KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
+                  KernelSpec("korobov", alpha=1.0, beta=0.5),
+                  KernelSpec("korobov", alpha=0.75, beta=1.0)]
+
+
+@pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=lambda s: s.label())
+def test_every_reader_takes_the_one_table(spec):
+    values, params = family_eigenpairs(spec, 9)
+    assert values.shape == (9,) and all(col.shape == (9,) for col in params.values())
+    assert np.array_equal(family_eigenvalues(spec, 9).values, values)
+    for j in range(1, 10):
+        pair = family_eigenpair(spec, j)
+        assert pair.index == j and pair.value == values[j - 1]
+        assert pair.params == {key: col[j - 1] for key, col in params.items()}
+    if spec.family == "korobov":
+        assert np.array_equal(korobov_eigenvalues(spec.alpha, spec.beta, 9).values, values)
+    else:
+        rule, pair = {"sobolev-min": (sobolev_min_eigenvalues, sobolev_min_eigenpair),
+                      "sobolev-cosh": (sobolev_cosh_eigenvalues,
+                                       sobolev_cosh_eigenpair)}[spec.family]
+        assert np.array_equal(rule(9).values, values)
+        assert pair(9).value == values[-1]
+
+
+def test_table_rows_do_not_depend_on_the_count():
+    for spec in ANALYTIC_SPECS:
+        long_values, long_params = family_eigenpairs(spec, 1000)
+        for count in (1, 2, 7, 64, 999):
+            values, params = family_eigenpairs(spec, count)
+            assert np.array_equal(values, long_values[:count]), (spec.label(), count)
+            for key, col in params.items():
+                assert np.array_equal(col, long_params[key][:count])
+
+
+def test_korobov_eigenpairs_solve_the_integral_equation():
+    # int K(x, y) eta_j(y) dy = lambda_j eta_j(x); on a periodic integrand the
+    # trapezoid rule on 400 nodes errs only by the kernel's harmonics past 390,
+    # which sum to below 1e-10 at alpha = 2
+    spec = KernelSpec("korobov", alpha=2.0, beta=0.5)
+    y = np.arange(400) / 400
+    pairs = [family_eigenpair(spec, j) for j in range(1, 8)]
+    assert [p.params["harmonic"] for p in pairs] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    for p in pairs:
+        for x in (0.0, 0.1, 0.37, 0.9):
+            kernel = np.array([kernel_eval(spec, x, t) for t in y])
+            assert np.mean(kernel * p.func(y)) == pytest.approx(p.value * float(p(x)), abs=1e-10)
+        # ||eta_j||^2 in L2 is lambda_j and the pairs are L2-orthogonal
+        gram = [np.mean(p.func(y) * q.func(y)) for q in pairs]
+        np.testing.assert_allclose(gram, [p.value if q is p else 0.0 for q in pairs], atol=1e-14)

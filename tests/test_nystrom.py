@@ -498,3 +498,19 @@ def test_richardson_refine_takes_the_korobov_order(alpha):
     raw = nystrom_spectrum(spec, midpoint_grid(2000), 3).values
     refined = richardson_refine(spec, 3, [1000, 2000]).eigensequence.values
     assert np.max(np.abs(refined - exact)) <= 1e-2 * np.max(np.abs(raw - exact))
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7137])
+def test_richardson_error_estimate_bounds_the_anchored_error(a):
+    """Off the cell edges the estimate |lambda(m2) - lambda(m1)| still bounds
+    the error, though extrapolation sharpens only when a m has the same
+    fractional part at both sizes: at [4000, 8000], a = 0.3 goes from 2.5e-9
+    raw to 2.2e-16, but a = 0.7137 goes from 1.3e-9 to 2.2e-9."""
+    spec = KernelSpec("sobolev-distance", a=a)
+    want = np.array([float(_continuum_eigenvalue_mpmath(a, j)) for j in range(1, 4)])
+    for sizes in ([1000, 2000], [4000, 8000]):
+        refined = richardson_refine(spec, 3, sizes)
+        error = np.abs(refined.eigensequence.values - want)
+        assert np.all(error <= refined.error_estimates), sizes
+        if a == 0.3:
+            assert np.max(error) <= 1e-13
