@@ -51,11 +51,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_lines(rows):
+    return (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
+def _write_csv(path, header, lines) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def _json_text(obj) -> str:
@@ -72,21 +75,19 @@ def _write_json(path, obj) -> None:
         fh.write(text + "\n")
 
 
-def _emit(args, header, rows, payload) -> None:
-    """Write rows as CSV or the payload as JSON, to --out or stdout."""
+def _emit(args, header, lines, payload) -> None:
+    """Write CSV lines or the payload as JSON, to --out or stdout."""
     fmt = args.format or "csv"
     if args.out:
         if fmt == "json":
             _write_json(args.out, payload)
         else:
-            _write_csv(args.out, header, rows)
+            _write_csv(args.out, header, lines)
+    elif fmt == "json":
+        print(_json_text(payload))
     else:
-        if fmt == "json":
-            print(_json_text(payload))
-        else:
-            print(",".join(header))
-            for row in rows:
-                print(",".join(_fmt(v) for v in row))
+        print(",".join(header))
+        sys.stdout.writelines(lines)
 
 
 def _family_spec(args) -> KernelSpec:
@@ -138,7 +139,8 @@ def cmd_eigs(args) -> int:
             "exact_decay": family_exact_decay(spec),
             "eigenpairs": [dict(zip(header, row)) for row in zip(*columns)],
         }
-    _emit(args, header, zip(*columns), payload)
+    line = "%d" + ",%.17g" * (len(header) - 1) + "\n"   # one template a row, _fmt's bytes
+    _emit(args, header, map(line.__mod__, zip(*columns)), payload)
     return EXIT_OK
 
 
@@ -164,7 +166,7 @@ def cmd_oracle_eigs(args) -> int:
     payload = {"family": spec.label(), "grid_size": grid_size, "solver": nystrom_solver(spec),
                "refine": args.refine or None,
                "eigenvalues": [dict(zip(header, row)) for row in rows]}
-    _emit(args, header, rows, payload)
+    _emit(args, header, _csv_lines(rows), payload)
     return EXIT_OK
 
 
@@ -182,7 +184,7 @@ def cmd_complexity(args) -> int:
            result.saturated, result.lower_bound_only, result.truncation_index,
            result.tie_tolerance, result.method]
     payload = dict(zip(header, row))
-    _emit(args, header, [row], payload)
+    _emit(args, header, _csv_lines([row]), payload)
     return EXIT_OK
 
 
@@ -207,7 +209,7 @@ def cmd_classify(args) -> int:
                  "evidence, never proof, and conjectured cases report 'unknown'",
     }
     header = list(payload)
-    _emit(args, header, [[payload[k] for k in header]], payload)
+    _emit(args, header, _csv_lines([[payload[k] for k in header]]), payload)
     return EXIT_OK
 
 
@@ -218,7 +220,7 @@ def cmd_density(args) -> int:
         stem = stem.with_suffix("")
     csv_path = stem.with_suffix(".csv")
     svg_path = stem.with_suffix(".svg")
-    _write_csv(csv_path, ["x", "g1"], [[float(x), float(y)] for x, y in zip(xs, ys)])
+    _write_csv(csv_path, ["x", "g1"], _csv_lines(zip(xs.tolist(), ys.tolist())))
     with open(svg_path, "w", newline="\n") as fh:
         fh.write(density_svg(xs, ys))
     summary = {"csv": str(csv_path), "svg": str(svg_path),
@@ -289,7 +291,7 @@ def cmd_reproduce(args) -> int:
         if (args.format or "json") == "json":
             _write_json(args.out, payload)
         else:
-            _write_csv(args.out, header, table)
+            _write_csv(args.out, header, _csv_lines(table))
     status_width = max(len(r.description) for r in rows)
     for r in rows:
         mark = "PASS" if r.passed else "FAIL"

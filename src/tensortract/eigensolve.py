@@ -28,6 +28,9 @@ ANALYTIC_FAMILIES = ("sobolev-min", "sobolev-cosh", "korobov")
 # twelve to 2.7e-16 relative at every m from 1 to 199, at 10^3 to 10^15 and for
 # the continuum.
 _NEWTON_STEPS = 2
+# Roots `_min_kernel_roots` solves one by one in floats, 2.3 us each against 45 us a vector
+# pass (m = 500, one thread); any longer count pays them too, so they stop at classify's 8.
+_FLOAT_ROOTS = 8
 # alpha_1 = 0.86033358901937976..., rounded up: bounds the sobolev-min count
 # above lambda_1 eps^2 before any root is solved
 _ALPHA1_ABOVE = 0.8603335890193798
@@ -57,24 +60,34 @@ def _min_kernel_roots(count: int, m: int | None = None) -> np.ndarray:
     y = arctan(1 / h((j - 1) pi + y)), whose residual has slope
     1 + h' / (1 + h^2) in (1, 2].  From y = arctan(1 / ((j - 1) pi + 0.8)),
     and for j = 1 from 0.8603 - 0.0192 / m^2, within 3.4e-5 of root 1 at
-    every m, one fixed-point pass and `_NEWTON_STEPS` Newton steps solve all
-    roots at once in O(count); no count may exceed m.
+    every m, one fixed-point pass and `_NEWTON_STEPS` Newton steps solve root
+    j in Python floats if j <= `_FLOAT_ROOTS`, else in one numpy vector with
+    the rest, so its bits depend on (j, m) alone; no count may exceed m.
     """
-    c = np.arange(count) * math.pi
+    def iterate(c, y, tan, atan):   # on y = alpha - c, for floats or arrays
+        for step in range(_NEWTON_STEPS + 1):   # a fixed-point pass, then Newton
+            if m is None:
+                hy, dh = c + y, 1.0
+            else:   # h and h' at alpha = c + y
+                t = tan((c + y) / (2 * m))
+                hy, dh = 2 * m * t, 1.0 + t * t
+            fixed = atan(1.0 / hy)
+            if step:
+                y -= (y - fixed) / (1.0 + dh / (1.0 + hy * hy))
+            else:
+                y = fixed   # a new array, so -= leaves the caller's start alone
+        return y
 
-    def h(y):   # h and h' at alpha = c + y
-        if m is None:
-            return c + y, 1.0
-        t = np.tan((c + y) / (2 * m))
-        return 2 * m * t, 1.0 + t * t
-
-    y = np.arctan(1.0 / (c + 0.8))
-    y[0] = 0.8603 if m is None else 0.8603 - 0.0192 / m / m
-    y = np.arctan(1.0 / h(y)[0])
-    for _ in range(_NEWTON_STEPS):
-        hy, dh = h(y)
-        y -= (y - np.arctan(1.0 / hy)) / (1.0 + dh / (1.0 + hy * hy))
-    return c + y
+    roots = np.empty(count)
+    for j in range(min(count, _FLOAT_ROOTS)):
+        c = j * math.pi
+        y = math.atan(1.0 / (c + 0.8)) if j else 0.8603 if m is None else 0.8603 - 0.0192 / m / m
+        roots[j] = c + iterate(c, y, math.tan, math.atan)
+    if count > _FLOAT_ROOTS:
+        c = np.arange(_FLOAT_ROOTS, count) * math.pi
+        y = iterate(c, np.arctan(1.0 / (c + 0.8)), np.tan, np.arctan)
+        np.add(c, y, out=roots[_FLOAT_ROOTS:])
+    return roots
 
 
 def family_eigenpairs(spec: KernelSpec, count: int) -> tuple[np.ndarray, dict]:

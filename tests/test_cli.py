@@ -14,9 +14,9 @@ import tensortract
 from tensortract import (ComplexityQuery, KernelSpec, NumericError, ResourceLimitError,
                          TruncationError, count_info_complexity_all, family_eigenvalues,
                          korobov_eigenvalues, sobolev_min_eigenvalues)
-from tensortract.cli import _write_json, build_parser, main
+from tensortract.cli import _fmt, _write_json, build_parser, main
 from tensortract.complexity import _effective_budget, _participating_weights
-from tensortract.eigensolve import family_count_bound
+from tensortract.eigensolve import _FLOAT_ROOTS, family_count_bound, family_eigenpairs
 
 
 def run(args):
@@ -80,15 +80,53 @@ def test_eigs_solves_each_root_once(monkeypatch, capsys):
     KernelSpec("korobov", alpha=0.75, beta=0.9), KernelSpec("korobov", alpha=1.0, beta=1.0),
     KernelSpec("korobov", alpha=2.3, beta=0.37)], ids=lambda spec: spec.label())
 def test_eigs_lambda_is_the_counted_list(tmp_path, spec):
-    # eigs writes the very values complexity and classify count, bit for bit
+    # eigs writes the very values complexity and classify count, bit for bit,
+    # on both sides of the roots sobolev-min solves in floats
     out = tmp_path / "eigs.csv"
     flags = ["--alpha", str(spec.alpha), "--beta", str(spec.beta)] if spec.alpha else []
-    assert run(["eigs", "--family", spec.family, *flags, "--count", "3000",
-                "--out", str(out)]) == 0
-    _, rows = read_csv(out)
-    assert [int(row[0]) for row in rows] == list(range(1, 3001))
-    np.testing.assert_array_equal([float(row[1]) for row in rows],
-                                  family_eigenvalues(spec, 3000).values)
+    k = _FLOAT_ROOTS
+    for count in (k - 1, k, k + 1, 2 * k, 3000):
+        assert run(["eigs", "--family", spec.family, *flags, "--count", str(count),
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [int(row[0]) for row in rows] == list(range(1, count + 1))
+        np.testing.assert_array_equal([float(row[1]) for row in rows],
+                                      family_eigenvalues(spec, count).values)
+
+
+def test_classify_reads_the_head_of_the_complexity_list(monkeypatch, capsys):
+    counted = []
+    count_all = tensortract.cli.count_info_complexity_all
+    monkeypatch.setattr(tensortract.cli, "count_info_complexity_all",
+                        lambda seq, query: counted.append(seq) or count_all(seq, query))
+    assert run(["complexity", "--family", "sobolev-min", "--eps", "1e-3", "--d", "2"]) == 0
+    capsys.readouterr()
+    assert run(["classify", "--family", "sobolev-min", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (seq,) = counted
+    assert len(seq.values) > 2 * _FLOAT_ROOTS
+    assert [report["lambda1"], report["lambda2"]] == seq.values[:2].tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
+    KernelSpec("korobov", alpha=0.75, beta=0.9)], ids=lambda spec: spec.label())
+def test_eigs_csv_bytes_are_the_fmt_join(tmp_path, capsys, spec):
+    # one %-template per row writes the bytes of the per-value _fmt join
+    count = 3 * _FLOAT_ROOTS
+    flags = ["--alpha", str(spec.alpha), "--beta", str(spec.beta)] if spec.alpha else []
+    args = ["--family", spec.family, *flags]
+    values, params = family_eigenpairs(spec, count)
+    keys = sorted(params)
+    rows = zip(range(1, count + 1), values.tolist(), *(params[k].tolist() for k in keys))
+    want = ",".join(["j", "lambda", *keys]) + "\n" + "".join(
+        ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    out = tmp_path / "eigs.csv"
+    assert run(["eigs", *args, "--count", str(count), "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert run(["eigs", *args, "--count", str(count)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):

@@ -12,7 +12,7 @@ from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenv
                          korobov_eigenvalues, midpoint_grid, nystrom_spectrum, richardson_refine,
                          sobolev_cosh_eigenvalues, sobolev_min_eigenvalues)
 from tensortract import nystrom
-from tensortract.eigensolve import _min_kernel_roots
+from tensortract.eigensolve import _FLOAT_ROOTS, _NEWTON_STEPS, _min_kernel_roots
 from tensortract.nystrom import nystrom_solver
 from tensortract.spectra import _kernel, gram_matrix
 
@@ -403,6 +403,45 @@ def test_min_kernel_roots_match_twelve_newton_steps(m, data):
     got = _min_kernel_roots(count, m)
     want = _min_kernel_roots_newton(count, m)
     assert np.max(np.abs(got - want) / want) <= 5e-16
+
+
+def _min_kernel_roots_vector(count, m):
+    """Every root of `eigensolve._min_kernel_roots` in one numpy vector: the
+    same starts, fixed-point pass and Newton steps, with numpy's tan and
+    arctan on every root, root 1 included."""
+    c = np.arange(count) * math.pi
+
+    def h(y):   # h and h' at alpha = c + y
+        if m is None:
+            return c + y, 1.0
+        t = np.tan((c + y) / (2 * m))
+        return 2 * m * t, 1.0 + t * t
+
+    y = np.arctan(1.0 / (c + 0.8))
+    y[0] = 0.8603 if m is None else 0.8603 - 0.0192 / m / m
+    y = np.arctan(1.0 / h(y)[0])
+    for _ in range(_NEWTON_STEPS):
+        hy, dh = h(y)
+        y -= (y - np.arctan(1.0 / hy)) / (1.0 + dh / (1.0 + hy * hy))
+    return c + y
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), st.integers(1, 200), st.integers(1, 10 ** 15)), st.data())
+def test_float_roots_match_the_vector_solve(m, data):
+    # numpy's tan and arctan may differ from libm's in the last bit, so the
+    # float roots may move by 1 ulp; the vector roots are the same operations
+    # on the same numbers, and a short list is a prefix of a long one
+    top = min(m or 2000, 2000)
+    n = data.draw(st.one_of(st.integers(1, min(top, _FLOAT_ROOTS)), st.integers(1, top)))
+    got, want = _min_kernel_roots(n, m), _min_kernel_roots_vector(n, m)
+    head = min(n, _FLOAT_ROOTS)
+    assert np.array_equal(got[head:], want[head:])
+    assert np.all(np.abs(got[:head] - want[:head]) <= np.spacing(want[:head]))
+    if top > _FLOAT_ROOTS:
+        k = data.draw(st.integers(1, _FLOAT_ROOTS))
+        longer = _min_kernel_roots(data.draw(st.integers(_FLOAT_ROOTS + 1, top)), m)
+        assert np.array_equal(_min_kernel_roots(k, m), longer[:k])
 
 
 def _secular_eigenvalue_mpmath(m, j):
