@@ -11,10 +11,7 @@ from .complexity import (ComplexityQuery, ComplexityResult, TractabilityReport,
                          classify, count_info_complexity_all, en_all,
                          estimate_decay, initial_error_ratio_integration,
                          qpt_exponent)
-from .eigensolve import (family_eigenpair, family_eigenpairs, family_eigenvalues,
-                         korobov_eigenvalues, sobolev_cosh_eigenpair,
-                         sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
-                         sobolev_min_eigenvalues)
+from .eigensolve import family_eigenpair, family_eigenpairs, family_eigenvalues
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import (QuadratureGrid, RefinedSpectrum, midpoint_grid,

@@ -20,9 +20,7 @@ from .complexity import (ComplexityQuery, brute_force_count,
                          check_goodcase_sobolev_min, classify,
                          count_info_complexity_all, estimate_decay,
                          initial_error_ratio_integration, qpt_exponent)
-from .eigensolve import (family_eigenvalues, korobov_eigenvalues,
-                         sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
-                         sobolev_min_eigenvalues)
+from .eigensolve import family_eigenpair, family_eigenvalues
 from .nystrom import midpoint_grid, nystrom_spectrum, richardson_refine
 from .reduction import (piecewise_constant_instance, cube_mean_functional,
                         minimal_error_std, random_problem,
@@ -35,6 +33,9 @@ LAMBDA1_MIN_KERNEL = 1.35103388
 LAMBDA2_MIN_KERNEL = 0.08521617
 LAMBDA2_COSH = 0.091999668
 RATIO_BASE = 1.01327541   # lambda_1 / (4/3), from the digits above
+
+_MIN = KernelSpec("sobolev-min")
+_COSH = KernelSpec("sobolev-cosh")
 
 
 @dataclass
@@ -79,7 +80,7 @@ def _flag(cid, desc, ok, perturb) -> CriterionRow:
 # ---------------------------------------------------------------------------
 
 def c01_min_kernel_eigenvalues(perturb=False):
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(_MIN, 2).values
     return [
         _close("1", "sobolev-min lambda_1 = alpha_1^-2", LAMBDA1_MIN_KERNEL,
                lam[0], 1e-7, perturb),
@@ -90,8 +91,7 @@ def c01_min_kernel_eigenvalues(perturb=False):
 
 def c02_oracle_agreement(perturb=False):
     rows = []
-    specs = [KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
-             KernelSpec("korobov", alpha=1.0, beta=0.5)]
+    specs = [_MIN, _COSH, KernelSpec("korobov", alpha=1.0, beta=0.5)]
     grid = midpoint_grid(2000)
     for spec in specs:
         analytic = family_eigenvalues(spec, 5).values
@@ -99,13 +99,13 @@ def c02_oracle_agreement(perturb=False):
         rel = float(np.max(np.abs(numeric - analytic) / analytic))
         rows.append(_close("2", f"oracle vs analytic, first 5 ({spec.label()})",
                            0.0, rel, 1e-3, perturb))
-    refined = richardson_refine(KernelSpec("sobolev-min"), 2, [500, 1000, 2000])
-    lam = sobolev_min_eigenvalues(2).values
+    refined = richardson_refine(_MIN, 2, [500, 1000, 2000])
+    lam = family_eigenvalues(_MIN, 2).values
     rows.append(_close("2", "richardson-refined sobolev-min lambda_1",
                        lam[0], refined.eigensequence.values[0], 1e-5, perturb))
     rows.append(_close("2", "richardson-refined sobolev-min lambda_2",
                        lam[1], refined.eigensequence.values[1], 1e-5, perturb))
-    gate = richardson_refine(KernelSpec("sobolev-cosh"), 3, [500, 1000, 2000])
+    gate = richardson_refine(_COSH, 3, [500, 1000, 2000])
     rows.append(_close("2", "cosh rule gate: refined lambda_3 vs 1/(1+4 pi^2)",
                        1.0 / (1.0 + 4.0 * math.pi ** 2),
                        gate.eigensequence.values[2], 1e-5, perturb))
@@ -121,11 +121,11 @@ def c02_oracle_agreement(perturb=False):
 
 def c03_cosh_lambda2(perturb=False):
     return [_close("3", "cosh-kernel lambda_2 = 1/(1+pi^2)", LAMBDA2_COSH,
-                   sobolev_cosh_eigenvalues(2).values[1], 1e-9, perturb)]
+                   family_eigenvalues(_COSH, 2).values[1], 1e-9, perturb)]
 
 
 def c04_qpt_exponent(perturb=False):
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(_MIN, 2).values
     rows = [_close("4", "sobolev-min QPT exponent t* = 1", 1.0,
                    qpt_exponent(lam[0], lam[1], 2.0), 0.0, perturb)]
     for alpha, beta in [(1.0, math.exp(-1.0)), (2.0, 0.5), (0.75, 0.9),
@@ -139,8 +139,8 @@ def c04_qpt_exponent(perturb=False):
 
 def _counting_cases(n_cases=102, seed=20260808):
     rng = np.random.default_rng(seed)
-    sob = sobolev_min_eigenvalues(60)
-    cosh = sobolev_cosh_eigenvalues(60)
+    sob = family_eigenvalues(_MIN, 60)
+    cosh = family_eigenvalues(_COSH, 60)
     eps_grid = np.round(np.arange(1, 10) * 0.1, 1)
     for i in range(n_cases):
         which = i % 3
@@ -151,7 +151,7 @@ def _counting_cases(n_cases=102, seed=20260808):
         else:
             alpha = float(rng.uniform(0.8, 2.5))
             beta = 1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0))
-            eigs = korobov_eigenvalues(alpha, beta, 140)
+            eigs = family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), 140)
         d = int(rng.integers(1, 5))
         eps = float(rng.choice(eps_grid))
         yield eigs, ComplexityQuery(eps=eps, d=d)
@@ -173,7 +173,7 @@ def c05_counting_equivalence(perturb=False):
 
 
 def c06_curse_lower_bound(perturb=False):
-    eigs = korobov_eigenvalues(1.0, 1.0, 64)
+    eigs = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=1.0), 64)
     worst_ratio = math.inf
     for d in range(1, 13):
         for eps in (0.1, 0.5, 0.9):
@@ -273,12 +273,10 @@ def _gauss_legendre(f, a, b):
 
 
 def c10_initial_error_ratio(perturb=False):
-    spec = KernelSpec("sobolev-min")
-
     def inner(x):
         # split the inner integral at the diagonal kink of the kernel, where
         # it is a polynomial on either side
-        return sum(_gauss_legendre(lambda y: kernel_eval(spec, x, y), a, b)
+        return sum(_gauss_legendre(lambda y: kernel_eval(_MIN, x, y), a, b)
                    for a, b in ((0.0, x), (x, 1.0)))
 
     quad = _gauss_legendre(inner, 0.0, 1.0)
@@ -308,10 +306,10 @@ def c11_density_figure(perturb=False):
 
 def c12_decay_estimation(perturb=False):
     rows = [_close("12", "decay estimate, sobolev-min (window 20..200)", 2.0,
-                   estimate_decay(sobolev_min_eigenvalues(200), (20, 200)),
+                   estimate_decay(family_eigenvalues(_MIN, 200), (20, 200)),
                    0.05, perturb)]
     for alpha in (0.75, 1.0, 1.5):
-        eigs = korobov_eigenvalues(alpha, 0.5, 220)
+        eigs = family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=0.5), 220)
         rows.append(_close("12", f"decay estimate, korobov alpha={alpha:g}",
                            2.0 * alpha, estimate_decay(eigs, (20, 200)), 0.05,
                            perturb))
@@ -319,16 +317,16 @@ def c12_decay_estimation(perturb=False):
 
 
 def c13_goodcase_and_classification(perturb=False):
-    eta1 = sobolev_min_eigenpair(1)
+    eta1 = family_eigenpair(_MIN, 1)
     rows = [_flag("13", "goodcase holds for the cosine eigenfunction",
                   check_goodcase_sobolev_min(eta1), perturb)]
     for t in (0.0, 0.25, 0.5, 1.0, 0.6135):   # 0.6135 lies between the grid points
-        section = Eigenpair(index=1, value=1.0,
+        section = Eigenpair(value=1.0,
                             func=lambda x, t=t: 0.7 * (1.0 + np.minimum(np.asarray(x, dtype=float), t)))
         rows.append(_flag(
             "13", f"goodcase rejected for the kernel section at t={t:g}",
             not check_goodcase_sobolev_min(section), perturb))
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(_MIN, 2).values
     report = classify(float(lam[0]), float(lam[1]), 2.0, goodcase=True)
     rows.append(_equal("13", "linear-class classification", "qpt-not-pt",
                        report.classification_all, perturb))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
-from .eigensolve import (ANALYTIC_FAMILIES, family_count_bound, family_eigenpairs,
-                         family_eigenvalues, family_exact_decay, sobolev_min_eigenpair)
+from .eigensolve import (ANALYTIC_FAMILIES, family_count_bound, family_eigenpair,
+                         family_eigenpairs, family_eigenvalues, family_exact_decay)
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -39,16 +39,20 @@ EXIT_FAILURE = 4
 
 _DENSITY_QUAD_NODES = 1025   # odd: composite Simpson pairs the 1024 panels
 _MAX_EIGENVALUES = 2 ** 21    # univariate eigenvalues one eigs or complexity call may build
+_CSV_SPECIAL = frozenset(',"\r\n')   # a text field holding one of these is quoted
 
 
 def _fmt(v) -> str:
+    """One CSV field: a text field with a comma, a quote or a line break is
+    quoted as csv.QUOTE_MINIMAL quotes it, each inner quote doubled."""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
         return format(v, ".17g")
-    return str(v)
+    text = str(v)
+    return text if _CSV_SPECIAL.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
 def _csv_lines(rows):
@@ -105,7 +109,7 @@ def density_profile(samples: int):
     family, plus the composite-Simpson check of int g_1^2 over [0, 1]."""
     if samples < 2:
         raise ParameterError("need at least two sample points")
-    pair = sobolev_min_eigenpair(1)
+    pair = family_eigenpair(KernelSpec("sobolev-min"), 1)
     scale = 1.0 / math.sqrt(pair.value)
     xs = np.linspace(0.0, 1.0, samples)
     ys = scale * pair.func(xs)
@@ -194,7 +198,7 @@ def cmd_classify(args) -> int:
     lam = seq.values
     goodcase = None
     if spec.family == "sobolev-min":
-        goodcase = check_goodcase_sobolev_min(sobolev_min_eigenpair(1))
+        goodcase = check_goodcase_sobolev_min(family_eigenpair(spec, 1))
     report = classify(float(lam[0]), float(lam[1]), seq.exact_decay, goodcase)
     payload = {
         "family": spec.label(),

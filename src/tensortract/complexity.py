@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ResourceLimitError, TruncationError
-from .eigensolve import sobolev_min_eigenvalues
-from .spectra import REL_TIE, Eigenpair, EigenSequence
+from .eigensolve import family_eigenvalues
+from .spectra import REL_TIE, Eigenpair, EigenSequence, KernelSpec
 
 COUNT_SATURATION = 2 ** 63 - 1
 
@@ -356,7 +356,7 @@ def initial_error_ratio_integration(d: int) -> InitialErrorComparison:
     min-kernel Sobolev family."""
     if d < 1:
         raise ParameterError("d must be >= 1")
-    lam1 = float(sobolev_min_eigenvalues(1).values[0])
+    lam1 = float(family_eigenvalues(KernelSpec("sobolev-min"), 1).values[0])
     return InitialErrorComparison(
         e0_integration=(4.0 / 3.0) ** (0.5 * d),
         e0_approximation=lam1 ** (0.5 * d),

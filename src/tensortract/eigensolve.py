@@ -18,9 +18,6 @@ import numpy as np
 from .errors import ParameterError
 from .spectra import Eigenpair, EigenSequence, KernelSpec, _check_count
 
-_MIN = KernelSpec("sobolev-min")
-_COSH = KernelSpec("sobolev-cosh")
-
 # The families with an analytic eigenvalue and eigenpair rule.
 ANALYTIC_FAMILIES = ("sobolev-min", "sobolev-cosh", "korobov")
 
@@ -126,8 +123,7 @@ def family_eigenpairs(spec: KernelSpec, count: int) -> tuple[np.ndarray, dict]:
 
 
 def family_eigenvalues(spec: KernelSpec, count: int) -> EigenSequence:
-    return EigenSequence(family_eigenpairs(spec, count)[0], source="analytic-rule",
-                         exact_decay=family_exact_decay(spec))
+    return EigenSequence(family_eigenpairs(spec, count)[0], exact_decay=family_exact_decay(spec))
 
 
 def family_exact_decay(spec: KernelSpec) -> float:
@@ -154,7 +150,7 @@ def family_eigenpair(spec: KernelSpec, j: int) -> Eigenpair:
         def eta(x):
             return b * np.cos(a * np.asarray(x, dtype=float) - shift)
 
-    return Eigenpair(index=j, value=lam, params=consts, func=eta)
+    return Eigenpair(value=lam, func=eta)
 
 
 def family_count_bound(spec: KernelSpec, eps: float) -> float:
@@ -175,22 +171,3 @@ def family_count_bound(spec: KernelSpec, eps: float) -> float:
             return 2.0 * float(np.floor(k)) + 1.0
     raise ParameterError(f"no analytic eigenvalue rule for family {spec.family!r}")
 
-
-def sobolev_min_eigenpair(j: int) -> Eigenpair:
-    return family_eigenpair(_MIN, j)
-
-
-def sobolev_min_eigenvalues(count: int) -> EigenSequence:
-    return family_eigenvalues(_MIN, count)
-
-
-def sobolev_cosh_eigenpair(j: int) -> Eigenpair:
-    return family_eigenpair(_COSH, j)
-
-
-def sobolev_cosh_eigenvalues(count: int) -> EigenSequence:
-    return family_eigenvalues(_COSH, count)
-
-
-def korobov_eigenvalues(alpha: float, beta: float, count: int) -> EigenSequence:
-    return family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), count)

@@ -22,8 +22,8 @@ Richardson extrapolation sharpens them.
 `circulant-fft` reads all m eigenvalues off one real FFT.  `aliased`
 evaluates the korobov spectrum's closed form where its aliasing sum is a
 polynomial in csc^2 (see `_aliased_eigenvalues`), `dct` and `dst` the closed
-forms of the sobolev-cosh and brownian-min spectra (see
-`_trigonometric_eigenvalues`), `secular` solves the closed-form
+forms of the sobolev-cosh and brownian-min spectra (see `_dct_eigenvalues`
+and `_dst_eigenvalues`), `secular` solves the closed-form
 characteristic equation of the 1 + min(x, y) Gram (see
 `eigensolve._min_kernel_roots`), and `anchored` that of the two pinned
 blocks an interior anchor splits the grid into (see `_anchored_eigenvalues`);
@@ -142,37 +142,43 @@ def _aliased_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> 
     return np.sort(np.concatenate(([top], spec.beta * p)))[::-1][:count]
 
 
-def _trigonometric_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+def _dct_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
     """The `count` largest eigenvalues of d K d, d = sqrt(1/m), for
-    sobolev-cosh and brownian-min, largest first, in O(count).
+    sobolev-cosh, largest first, in O(count).
 
     On the midpoint rule x_i - x_j = (i - j)/m and x_i + x_j = (i + j + 1)/m,
-    so both Grams are Toeplitz +- Hankel, K = [c(x - y) +- c(x + y)] / 2: the
-    circulant of c(n/m) folded onto the vectors symmetric about the grid's
-    ends, which the DCT-II and DST-IV diagonalize (Strang, The Discrete
-    Cosine Transform, SIAM Review 41, 1999).  Both spectra fall with k, so
-    the top `count` are k = 0 .. count - 1.
+    so the sobolev-cosh and brownian-min Grams are Toeplitz +- Hankel,
+    K = [c(x - y) +- c(x + y)] / 2: the circulant of c(n/m) folded onto the
+    vectors symmetric about the grid's ends, which the DCT-II and DST-IV
+    diagonalize (Strang, The Discrete Cosine Transform, SIAM Review 41, 1999).
+    Both spectra fall with k, so the top `count` are k = 0 .. count - 1.
 
-    brownian-min  K = min(x, y), the DST-IV symbol:
-                  lambda_k = 1 / (4 m^2 sin^2((2k + 1) pi / 4m)).
-    sobolev-cosh  c(t) = cosh(1 - |t|) / sinh 1, 2-periodic, and lambda_k is
-                  bin k of the DFT of c_n = c(n/m), n = 0 .. 2m - 1, over 2m.
-                  c_(n+1) + c_(n-1) = 2 cosh(1/m) c_n at every n but n = 0
-                  (mod 2m), where the left side falls short by 2 sinh(1/m);
-                  so the DFT is sinh(1/m) / (cosh(1/m) - cos(pi k / m)), and
-                  cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2) gives
-                  lambda_k = sinh(1/m) / (4m (sinh^2(1/2m) + sin^2(pi k / 2m)))
-                  with no cancellation.  As m grows it tends to
-                  1 / (1 + pi^2 k^2), the analytic rule.
+    Here c(t) = cosh(1 - |t|) / sinh 1, 2-periodic, and lambda_k is bin k of
+    the DFT of c_n = c(n/m), n = 0 .. 2m - 1, over 2m.
+    c_(n+1) + c_(n-1) = 2 cosh(1/m) c_n at every n but n = 0 (mod 2m), where
+    the left side falls short by 2 sinh(1/m); so the DFT is
+    sinh(1/m) / (cosh(1/m) - cos(pi k / m)), and
+    cosh a - cos b = 2 sinh^2(a/2) + 2 sin^2(b/2) gives
+        lambda_k = sinh(1/m) / (4m (sinh^2(1/2m) + sin^2(pi k / 2m)))
+    with no cancellation.  As m grows it tends to 1 / (1 + pi^2 k^2), the
+    analytic rule.
     """
-    m, k = len(grid), np.arange(count)
-    if spec.family == "brownian-min":
-        return (2.0 * m * np.sin((2 * k + 1) * (math.pi / (4 * m)))) ** -2
-    sin_half = np.sin(k * (math.pi / (2 * m)))
+    m = len(grid)
+    sin_half = np.sin(np.arange(count) * (math.pi / (2 * m)))
     return math.sinh(1.0 / m) / (4.0 * m * (math.sinh(0.5 / m) ** 2 + sin_half * sin_half))
 
 
-def _secular_eigenvalues(grid: QuadratureGrid, count: int) -> np.ndarray:
+def _dst_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
+    """The `count` largest eigenvalues of d K d, d = sqrt(1/m), for
+    brownian-min, K = min(x, y), largest first, in O(count): the DST-IV
+    symbol (see `_dct_eigenvalues`)
+        lambda_k = 1 / (4 m^2 sin^2((2k + 1) pi / 4m)),  k = 0 .. count - 1.
+    """
+    m = len(grid)
+    return (2.0 * m * np.sin((2 * np.arange(count) + 1) * (math.pi / (4 * m)))) ** -2
+
+
+def _secular_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) -> np.ndarray:
     """The `count` largest eigenvalues of the weighted 1 + min(x, y) Gram,
     1 / (4 m^2 sin^2(alpha_j / 2m)) with alpha_j the roots of
     2m tan(alpha / 2m) tan alpha = 1 (see `eigensolve._min_kernel_roots`).
@@ -248,23 +254,18 @@ def _anchored_eigenvalues(spec: KernelSpec, grid: QuadratureGrid, count: int) ->
     raise NumericError(f"anchored eigensolve took over {_ANCHORED_STEPS} Newton steps")
 
 
+# every name `nystrom_solver` returns, and its solver
+_SOLVERS = {"circulant-fft": _circulant_eigenvalues, "aliased": _aliased_eigenvalues,
+            "dct": _dct_eigenvalues, "dst": _dst_eigenvalues,
+            "secular": _secular_eigenvalues, "anchored": _anchored_eigenvalues}
+
+
 def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> EigenSequence:
     """The `count` largest eigenvalues of the discretized integral operator."""
     _check_count(count)
     if count > len(grid):
         raise ParameterError(f"count {count} exceeds grid size {len(grid)}")
-    solver = nystrom_solver(spec)
-    if solver == "aliased":
-        vals = _aliased_eigenvalues(spec, grid, count)
-    elif solver == "circulant-fft":
-        vals = _circulant_eigenvalues(spec, grid, count)
-    elif solver in ("dct", "dst"):
-        vals = _trigonometric_eigenvalues(spec, grid, count)
-    elif solver == "secular":
-        vals = _secular_eigenvalues(grid, count)
-    else:
-        vals = _anchored_eigenvalues(spec, grid, count)
-    return EigenSequence(vals, source="numeric")
+    return EigenSequence(_SOLVERS[nystrom_solver(spec)](spec, grid, count))
 
 
 @dataclass(frozen=True)
@@ -297,5 +298,5 @@ def richardson_refine(spec: KernelSpec, count: int, sizes: Sequence[int]) -> Ref
     extrap = fine + (fine - coarse) / (ratio ** family_exact_decay(spec) - 1.0)
     err = np.abs(fine - coarse)
     order = np.argsort(extrap)[::-1]
-    seq = EigenSequence(np.maximum(extrap[order], 0.0), source="numeric")
+    seq = EigenSequence(np.maximum(extrap[order], 0.0))
     return RefinedSpectrum(eigensequence=seq, error_estimates=err[order])

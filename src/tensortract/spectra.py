@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,9 +69,6 @@ class KernelSpec:
         return self.family
 
 
-_SOURCES = ("analytic-rule", "numeric", "user-supplied")
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSequence:
     """Ordered eigenvalues lambda_1 >= lambda_2 >= ... >= 0 of W = S*S.
@@ -83,7 +80,6 @@ class EigenSequence:
     """
 
     values: np.ndarray
-    source: str = "numeric"
     exact_decay: float | None = None
 
     def __post_init__(self):
@@ -92,14 +88,12 @@ class EigenSequence:
         # one pass accepts a valid list: NaN, +-inf, a negative value and a
         # rise all fail it; the checks below only pick the error message
         if (vals.ndim == 1 and vals.size and 0.0 < vals[0] < math.inf and vals[-1] >= 0.0
-                and (vals[:-1] >= vals[1:]).all() and self.source in _SOURCES):
+                and (vals[:-1] >= vals[1:]).all()):
             return
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("eigenvalue list must be a nonempty vector")
         if not np.isfinite(vals).all():
             raise ParameterError("eigenvalues must be finite")
-        if self.source not in _SOURCES:
-            raise ParameterError(f"unknown source tag {self.source!r}")
         if not vals[0] > 0.0:
             raise ParameterError("leading eigenvalue must be positive")
         if (vals < 0.0).any():
@@ -115,14 +109,10 @@ class Eigenpair:
     """One eigenpair (lambda_j, eta_j) with a pointwise-exact eigenfunction.
 
     ``func`` evaluates eta_j on [0, 1] (vectorized).
-    ``params`` carries the family-specific closed-form constants so that
-    downstream checks can work with exact parameters instead of samples.
     """
 
-    index: int
     value: float
     func: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.func(np.asarray(x, dtype=float))

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -12,11 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tensortract
 from tensortract import (ComplexityQuery, KernelSpec, NumericError, ResourceLimitError,
-                         TruncationError, count_info_complexity_all, family_eigenvalues,
-                         korobov_eigenvalues, sobolev_min_eigenvalues)
-from tensortract.cli import _fmt, _write_json, build_parser, main
+                         TruncationError, count_info_complexity_all, family_eigenpair,
+                         family_eigenvalues)
+from tensortract.cli import _csv_lines, _fmt, _write_json, build_parser, main
 from tensortract.complexity import _effective_budget, _participating_weights
 from tensortract.eigensolve import _FLOAT_ROOTS, family_count_bound, family_eigenpairs
+
+MIN = KernelSpec("sobolev-min")
 
 
 def run(args):
@@ -129,12 +133,39 @@ def test_eigs_csv_bytes_are_the_fmt_join(tmp_path, capsys, spec):
     assert capsys.readouterr().out == want
 
 
+def test_csv_text_fields_round_trip(tmp_path, capsys):
+    # a text field holding a comma, a quote or a line break is quoted as
+    # csv.QUOTE_MINIMAL quotes it; every other field keeps _fmt's bytes
+    korobov = ["--family", "korobov", "--alpha", "1", "--beta", "0.5"]
+    for argv in (["classify", *korobov], ["complexity", *korobov, "--eps", "0.1", "--d", "2"],
+                 ["complexity", "--family", "sobolev-min", "--eps", "0.1", "--d", "2"]):
+        assert run([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        header, row = csv.reader(io.StringIO(text))
+        assert len(row) == len(header), argv
+        fields = dict(zip(header, row))
+        assert all(fields[key] == v for key, v in payload.items() if isinstance(v, str))
+        assert text.split("\n")[1] == ",".join(_fmt(payload[key]) for key in header)
+        assert ('"' in text) == (argv[2] == "korobov")
+    out = tmp_path / "report.csv"
+    assert run(["reproduce", "--only", "4", "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, *table = csv.reader(io.StringIO(out.read_text()))
+    assert {len(row) for row in table} == {len(header)}
+    assert "korobov t* (alpha=1, beta=0.367879)" in [row[1] for row in table]
+    line = next(_csv_lines([['say "hi", then\nstop', 0.5, True, None]]))
+    assert line == '"say ""hi"", then\nstop",0.5,true,None\n'
+    assert list(csv.reader(io.StringIO(line))) == [['say "hi", then\nstop', "0.5", "true", "None"]]
+
+
 def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):
     # the secular and aliased solvers never form an m-sized array, and at
     # m = 10^15 the quadrature error is far below double precision
-    for args, rule in ((["--family", "sobolev-min"], sobolev_min_eigenvalues(5)),
+    for args, rule in ((["--family", "sobolev-min"], family_eigenvalues(MIN, 5)),
                        (["--family", "korobov", "--alpha", "1", "--beta", "0.5"],
-                        korobov_eigenvalues(1.0, 0.5, 5))):
+                        family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=0.5), 5))):
         assert run(["oracle-eigs", "--grid-size", str(10 ** 15), "--count", "5",
                     "--format", "json"] + args) == 0
         got = [row["lambda"] for row in json.loads(capsys.readouterr().out)["eigenvalues"]]
@@ -226,7 +257,7 @@ def test_complexity_builds_one_list_of_the_closed_form_length(monkeypatch, capsy
     data = json.loads(capsys.readouterr().out)
     # alpha_j > (j - 1) pi bounds the 274 counted indices by floor(alpha_1 / (pi eps)) + 1
     assert sizes == [math.floor(0.8603335890193798 / (math.pi * 1e-3)) + 2] == [275]
-    long = count_info_complexity_all(sobolev_min_eigenvalues(4096),
+    long = count_info_complexity_all(family_eigenvalues(MIN, 4096),
                                      ComplexityQuery(eps=1e-3, d=2))
     assert (data["count"], data["truncation_index"]) == (long.count, long.truncation_index)
     assert (long.count, long.truncation_index) == (865, 274)
@@ -370,8 +401,7 @@ def test_density_integral_matches_scipy_simpson():
     import scipy.integrate
 
     from tensortract.cli import _DENSITY_QUAD_NODES, density_profile
-    from tensortract.eigensolve import sobolev_min_eigenpair
-    pair = sobolev_min_eigenpair(1)
+    pair = family_eigenpair(MIN, 1)
     qx = np.linspace(0.0, 1.0, _DENSITY_QUAD_NODES)
     expected = scipy.integrate.simpson((pair.func(qx) / math.sqrt(pair.value)) ** 2, x=qx)
     assert abs(density_profile(65)[2] - expected) <= 1e-15

@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tensortract import (ComplexityQuery, Eigenpair, EigenSequence,
+from tensortract import (ComplexityQuery, Eigenpair, EigenSequence, KernelSpec,
                          NumericError, ParameterError, ResourceLimitError, TruncationError,
                          brute_force_count, check_goodcase_sobolev_min,
                          classify, count_info_complexity_all, en_all,
-                         estimate_decay, initial_error_ratio_integration,
-                         korobov_eigenvalues, qpt_exponent,
-                         sobolev_cosh_eigenvalues, sobolev_min_eigenpair,
-                         sobolev_min_eigenvalues)
+                         estimate_decay, family_eigenpair, family_eigenvalues,
+                         initial_error_ratio_integration, qpt_exponent)
 from tensortract import complexity
 from tensortract.complexity import _effective_budget, _participating_weights
 
-KOR = korobov_eigenvalues(1.0, 0.5, 40)
-KOR_TIE = korobov_eigenvalues(1.0, 1.0, 40)
-SOB = sobolev_min_eigenvalues(40)
+MIN = KernelSpec("sobolev-min")
+COSH = KernelSpec("sobolev-cosh")
+KOR = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=0.5), 40)
+KOR_TIE = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=1.0), 40)
+SOB = family_eigenvalues(MIN, 40)
 
 
 def count(eigs, eps, d):
@@ -47,7 +47,7 @@ def test_top_tie_gives_exponential_count():
 
 def test_weight_classes_match_brute_force_on_selected_cases():
     cases = [(SOB, 0.25, 2), (SOB, 0.1, 3), (KOR, 0.35, 3), (KOR_TIE, 0.45, 4),
-             (sobolev_cosh_eigenvalues(40), 0.2, 2)]
+             (family_eigenvalues(COSH, 40), 0.2, 2)]
     for eigs, eps, d in cases:
         q = ComplexityQuery(eps=eps, d=d)
         fast = count_info_complexity_all(eigs, q)
@@ -67,7 +67,7 @@ def test_randomized_equivalence_quick():
     for _ in range(15):
         alpha = float(rng.uniform(0.8, 2.2))
         beta = float(rng.uniform(0.1, 1.0))
-        eigs = korobov_eigenvalues(alpha, beta, 120)
+        eigs = family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), 120)
         q = ComplexityQuery(eps=float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])),
                             d=int(rng.integers(1, 5)))
         assert count_info_complexity_all(eigs, q).count == brute_force_count(eigs, q).count
@@ -118,8 +118,9 @@ def tied_spectra(max_rest):
         st.integers(0, 2), st.sampled_from([1.0, 0.37, 2.5]))
 
 
-KOROBOV_SPECTRA = st.builds(lambda a, b: korobov_eigenvalues(a, b, 120),
-                            st.floats(0.8, 2.2), st.floats(0.1, 1.0))
+KOROBOV_SPECTRA = st.builds(
+    lambda a, b: family_eigenvalues(KernelSpec("korobov", alpha=a, beta=b), 120),
+    st.floats(0.8, 2.2), st.floats(0.1, 1.0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -168,7 +169,7 @@ def test_trailing_zero_ends_a_finite_spectrum_property(positive, eps, d):
 
 
 def test_korobov_pairs_match_tie_split():
-    eigs = korobov_eigenvalues(0.75, 0.9, 2 ** 14)
+    eigs = family_eigenvalues(KernelSpec("korobov", alpha=0.75, beta=0.9), 2 ** 14)
     assert count(eigs, 0.01, 6) == tie_split_oracle(eigs, 0.01, 6)
 
 
@@ -211,7 +212,7 @@ def test_near_tie_is_not_a_tie():
 
 
 def test_monotone_in_eps_and_d():
-    for eigs in (SOB, KOR, sobolev_cosh_eigenvalues(40)):
+    for eigs in (SOB, KOR, family_eigenvalues(COSH, 40)):
         counts = [count(eigs, eps, 2) for eps in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         by_d = [count(eigs, 0.3, d) for d in (1, 2, 3, 4)]
@@ -229,7 +230,7 @@ def test_tie_policy_counts_full_multiplicity():
 def test_exact_tie_excluded():
     # eps^2 lambda_1 lands exactly on an eigenvalue: the <= in the definition
     # (tie tolerance) excludes it
-    eigs = korobov_eigenvalues(1.0, 0.25, 20)
+    eigs = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=0.25), 20)
     assert count(eigs, 0.5, 1) == 1
 
 
@@ -247,7 +248,7 @@ def test_std_class_flagged_as_lower_bound():
 
 
 def test_truncation_error_on_short_list():
-    short = sobolev_min_eigenvalues(3)
+    short = family_eigenvalues(MIN, 3)
     with pytest.raises(TruncationError):
         count_info_complexity_all(short, ComplexityQuery(eps=0.01, d=2))
 
@@ -293,8 +294,9 @@ def test_decay_exact_power_law():
 
 
 def test_decay_analytic_families():
-    assert estimate_decay(sobolev_min_eigenvalues(200), (20, 200)) == pytest.approx(2.0, abs=0.05)
-    assert estimate_decay(korobov_eigenvalues(1.5, 0.5, 220), (10, 200)) == pytest.approx(3.0, abs=0.05)
+    assert estimate_decay(family_eigenvalues(MIN, 200), (20, 200)) == pytest.approx(2.0, abs=0.05)
+    korobov = family_eigenvalues(KernelSpec("korobov", alpha=1.5, beta=0.5), 220)
+    assert estimate_decay(korobov, (10, 200)) == pytest.approx(3.0, abs=0.05)
 
 
 def test_decay_window_validation():
@@ -309,7 +311,7 @@ def test_decay_window_validation():
 
 
 def test_qpt_exponent_values():
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(MIN, 2).values
     assert qpt_exponent(lam[0], lam[1], 2.0) == 1.0
     assert 2.0 / math.log(lam[0] / lam[1]) == pytest.approx(0.7237, abs=1e-3)
     assert qpt_exponent(1.0, 0.0, 2.0) == 0.0
@@ -326,19 +328,19 @@ def test_qpt_exponent_validation():
 
 
 def test_goodcase_checker():
-    assert check_goodcase_sobolev_min(sobolev_min_eigenpair(1)) is True
+    assert check_goodcase_sobolev_min(family_eigenpair(MIN, 1)) is True
 
     def section(t, a=0.7):
-        return Eigenpair(index=1, value=1.0,
+        return Eigenpair(value=1.0,
                          func=lambda x: a * (1.0 + np.minimum(np.asarray(x, float), t)))
 
     for t in (0.0, 0.25, 0.5, 1.0):
         assert check_goodcase_sobolev_min(section(t)) is False
     norm = 1.0 / math.sqrt(1.0 + 0.5 + 0.5 ** 3 / 3.0)
-    normalized = Eigenpair(index=1, value=1.0,
+    normalized = Eigenpair(value=1.0,
                            func=lambda x: norm * (1.0 + np.minimum(np.asarray(x, float), 0.5)))
     assert check_goodcase_sobolev_min(normalized) is False
-    constant = Eigenpair(index=1, value=1.0,
+    constant = Eigenpair(value=1.0,
                          func=lambda x: np.ones_like(np.asarray(x, float)))
     assert check_goodcase_sobolev_min(constant) is False
 
@@ -361,7 +363,7 @@ def _assert_check_matches_sweep(func):
     # the verdict of the sweep over every grid t; NaN deviations reject nothing
     vals = func(_XS)
     want = bool(np.all(_sweep_deviations(_XS, vals, _XS) > _tol(vals)))
-    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=func)) is want
+    assert check_goodcase_sobolev_min(Eigenpair(value=1.0, func=func)) is want
     return want
 
 
@@ -371,7 +373,7 @@ def _section(t, a=0.7):
 
 @pytest.mark.parametrize("j", range(1, 8))
 def test_goodcase_scan_matches_sweep_on_eigenfunctions(j):
-    assert _assert_check_matches_sweep(sobolev_min_eigenpair(j).func) is True
+    assert _assert_check_matches_sweep(family_eigenpair(MIN, j).func) is True
 
 
 @pytest.mark.parametrize("t", [0.0, _XS[1], 0.25, _XS[500], 0.613, 0.61349, 1.0])
@@ -381,13 +383,13 @@ def test_goodcase_scan_matches_sweep_on_kernel_sections(t):
     else:  # the sweep tries grid t only and misses the section
         vals = _section(t)(_XS)
         assert np.all(_sweep_deviations(_XS, vals, _XS) > _tol(vals))
-        assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t))) is False
+        assert check_goodcase_sobolev_min(Eigenpair(value=1.0, func=_section(t))) is False
 
 
 @pytest.mark.parametrize("t", [0.0005, 1.0 / 3.0, 0.6135, 0.61349, 0.999999])
 @pytest.mark.parametrize("a", [0.7, -1.3, 1e-3, 5.0])
 def test_goodcase_rejects_kernel_sections_between_grid_points(t, a):
-    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=_section(t, a))) is False
+    assert check_goodcase_sobolev_min(Eigenpair(value=1.0, func=_section(t, a))) is False
 
 
 _SCALES = [1e-12, 1e-9, 1.0, 1e6]
@@ -395,10 +397,10 @@ _SCALES = [1e-12, 1e-9, 1.0, 1e6]
 
 @pytest.mark.parametrize("c", _SCALES)
 def test_goodcase_verdict_does_not_depend_on_scale(c):
-    eta1 = sobolev_min_eigenpair(1).func
-    assert check_goodcase_sobolev_min(Eigenpair(index=1, value=1.0, func=lambda x: c * eta1(x)))
+    eta1 = family_eigenpair(MIN, 1).func
+    assert check_goodcase_sobolev_min(Eigenpair(value=1.0, func=lambda x: c * eta1(x)))
     for t in (0.0, 0.25, 0.5, 1.0, 0.6135):   # the criterion-13 sections
-        scaled = Eigenpair(index=1, value=1.0, func=lambda x, t=t: c * _section(t)(x))
+        scaled = Eigenpair(value=1.0, func=lambda x, t=t: c * _section(t)(x))
         assert check_goodcase_sobolev_min(scaled) is False
 
 
@@ -427,7 +429,7 @@ def test_goodcase_scan_matches_sweep_on_polynomials(coeffs, scale):
     # within tau
     coeffs = [scale * c for c in coeffs]
     vals = np.polynomial.polynomial.polyval(_XS, coeffs)
-    eta = Eigenpair(index=1, value=1.0, func=lambda x: np.polynomial.polynomial.polyval(x, coeffs))
+    eta = Eigenpair(value=1.0, func=lambda x: np.polynomial.polynomial.polyval(x, coeffs))
     if check_goodcase_sobolev_min(eta):
         assert np.all(_sweep_deviations(_XS, vals, _XS) > 0.5 * _tol(vals))
     else:
@@ -437,7 +439,7 @@ def test_goodcase_scan_matches_sweep_on_polynomials(coeffs, scale):
 
 
 def test_goodcase_check_memory_is_linear_in_the_grid():
-    eta1 = sobolev_min_eigenpair(1)
+    eta1 = family_eigenpair(MIN, 1)
     check_goodcase_sobolev_min(eta1)  # warm caches outside the traced call
     tracemalloc.start()
     try:
@@ -449,7 +451,7 @@ def test_goodcase_check_memory_is_linear_in_the_grid():
 
 
 def test_classify_min_kernel():
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(MIN, 2).values
     rep = classify(lam[0], lam[1], 2.0, goodcase=True)
     assert rep.classification_all == "qpt-not-pt"
     assert rep.qpt_exponent == 1.0
@@ -481,7 +483,7 @@ def test_classify_no_decay():
 
 
 def test_classify_scale_invariance():
-    lam = sobolev_min_eigenvalues(2).values
+    lam = family_eigenvalues(MIN, 2).values
     base = classify(lam[0], lam[1], 2.0, goodcase=True)
     for c in (1e-3, 7.0, 1e4):
         scaled = classify(c * lam[0], c * lam[1], 2.0, goodcase=True)
@@ -533,7 +535,7 @@ def test_en_all_exhaustive_zero_tail():
 
 
 def test_en_all_truncation_guard():
-    short = sobolev_min_eigenvalues(3)
+    short = family_eigenvalues(MIN, 3)
     with pytest.raises(TruncationError):
         en_all(short, 2, 40)
 
@@ -622,9 +624,10 @@ def test_en_all_truncation_verdict_property(eigs, d, data):
 
 @pytest.mark.parametrize("d", [50, 200, 1000])
 def test_en_all_matches_heap_at_large_d(d):
-    spectra = [sobolev_cosh_eigenvalues(80), korobov_eigenvalues(1.0, 0.5, 80),
-               korobov_eigenvalues(0.75, 0.9, 80), korobov_eigenvalues(2.0, 0.05, 80),
-               KOR_TIE]
+    spectra = [family_eigenvalues(COSH, 80)]
+    spectra += [family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), 80)
+                for alpha, beta in ((1.0, 0.5), (0.75, 0.9), (2.0, 0.05))]
+    spectra.append(KOR_TIE)
     for eigs in spectra:
         assert eigs.values[0] == 1.0
         for n in (0, 1, 2, 17, 33, 60):
@@ -633,15 +636,15 @@ def test_en_all_matches_heap_at_large_d(d):
 
 def test_en_all_resolves_lists_that_hold_the_rank():
     # n + 1 values always resolve e_n; the heap refused each of these
-    cosh = sobolev_cosh_eigenvalues(10)
+    cosh = family_eigenvalues(COSH, 10)
     assert en_all(cosh, 1, 9) == pytest.approx(math.sqrt(cosh.values[9]), rel=1e-15)
     assert en_all(EigenSequence(np.ones(200)), 2, 9) == 1.0
     # nine degree-2 products of three unit values, and no unseen one is larger
-    assert en_all(korobov_eigenvalues(1.0, 1.0, 3), 2, 8) == 1.0
+    assert en_all(family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=1.0), 3), 2, 8) == 1.0
 
 
 def test_en_all_past_the_double_range():
-    eigs = sobolev_min_eigenvalues(10)   # lambda_1^2500 overflows
+    eigs = family_eigenvalues(MIN, 10)   # lambda_1^2500 overflows
     for n in (0, 1):
         with pytest.raises(NumericError, match="d=5000"):
             en_all(eigs, 5000, n)

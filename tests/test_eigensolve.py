@@ -6,10 +6,11 @@ import pytest
 import scipy.integrate
 
 from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenpair,
-                         family_eigenpairs, family_eigenvalues, kernel_eval, korobov_eigenvalues,
-                         sobolev_cosh_eigenpair, sobolev_cosh_eigenvalues,
-                         sobolev_min_eigenpair, sobolev_min_eigenvalues)
+                         family_eigenpairs, family_eigenvalues, kernel_eval)
 from tensortract.eigensolve import _ALPHA1_ABOVE, _min_kernel_roots
+
+MIN = KernelSpec("sobolev-min")
+COSH = KernelSpec("sobolev-cosh")
 
 # frozen by an independent 200-iteration bisection of cot x - x
 ALPHA1 = 0.8603335890193797
@@ -93,14 +94,14 @@ def test_vectorized_roots_match_the_scalar_solver():
     # the largest distances over j <= 2 * 10^4 are 2 ulps in alpha_j and 4 in lambda_j
     roots = np.array([solve_cot_root(j) for j in range(1, 20001)])
     assert _ulps(_min_kernel_roots(20000), roots).max() <= 2.0
-    lam = sobolev_min_eigenvalues(20000).values
+    lam = family_eigenvalues(MIN, 20000).values
     assert _ulps(lam, roots ** -2).max() <= 5.0
     assert np.max(np.abs(lam - roots ** -2) * roots ** 2) <= 1e-15
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 10, 1000, 2 ** 16])
 def test_vectorized_roots_match_mpmath(j):
-    got = sobolev_min_eigenvalues(j).values[-1]
+    got = family_eigenvalues(MIN, j).values[-1]
     with mpmath.workdps(40):
         c, tiny = (j - 1) * mpmath.pi, mpmath.mpf("1e-30")
         y = mpmath.findroot(lambda y: y - mpmath.atan(1 / (c + y)),
@@ -125,34 +126,38 @@ def test_alpha1_bound_rounds_the_root_up():
     assert _ALPHA1_ABOVE == np.nextafter(_min_kernel_roots(1)[0], 1.0)
 
 
-def _min_derivative(p, x):
+def _constants(spec, j):
+    """alpha_j and beta_j, row j of the table."""
+    params = family_eigenpairs(spec, j)[1]
+    return params["alpha"][-1], params["beta"][-1]
+
+
+def _min_derivative(j, x):
     # eta_j = beta cos(alpha x - alpha)
-    a, b = p.params["alpha"], p.params["beta"]
+    a, b = _constants(MIN, j)
     return -b * a * np.sin(a * x - a)
 
 
-def _sobolev_min_inner(p, q, nodes=8193):
+def _sobolev_min_inner(i, j, nodes=8193):
     x = np.linspace(0.0, 1.0, nodes)
-    return float(p.func(0.0) * q.func(0.0)
-                 + scipy.integrate.simpson(_min_derivative(p, x) * _min_derivative(q, x), x=x))
+    return float(family_eigenpair(MIN, i).func(0.0) * family_eigenpair(MIN, j).func(0.0)
+                 + scipy.integrate.simpson(_min_derivative(i, x) * _min_derivative(j, x), x=x))
 
 
 def test_min_kernel_eigenfunction_unit_norm():
     for j in (1, 2, 3):
-        p = sobolev_min_eigenpair(j)
-        assert _sobolev_min_inner(p, p) == pytest.approx(1.0, abs=1e-9)
+        assert _sobolev_min_inner(j, j) == pytest.approx(1.0, abs=1e-9)
     # the table's trig-free beta_j against the norm's own formula
-    _, params = family_eigenpairs(KernelSpec("sobolev-min"), 20000)
+    _, params = family_eigenpairs(MIN, 20000)
     a = params["alpha"]
     beta = (np.cos(a) ** 2 + 0.5 * a * (a - 0.5 * np.sin(2.0 * a))) ** -0.5
     assert _ulps(params["beta"], beta).max() <= 3.0
 
 
 def test_min_kernel_orthonormality():
-    pairs = [sobolev_min_eigenpair(j) for j in range(1, 6)]
-    for i, p in enumerate(pairs):
-        for q in pairs[i + 1:]:
-            assert abs(_sobolev_min_inner(p, q)) < 1e-7
+    for i in range(1, 6):
+        for j in range(i + 1, 6):
+            assert abs(_sobolev_min_inner(i, j)) < 1e-7
 
 
 def test_min_kernel_large_j_asymptotics():
@@ -167,9 +172,9 @@ def test_min_kernel_large_j_asymptotics():
 
 def test_min_kernel_eigenrelation_against_integral_operator():
     # int K(x, y) eta_j(y) dy = lambda_j eta_j(x); split at the kink y = x
-    spec = KernelSpec("sobolev-min")
+    spec = MIN
     for j in (1, 2, 3):
-        p = sobolev_min_eigenpair(j)
+        p = family_eigenpair(spec, j)
         for x in np.linspace(0.025, 0.975, 20):
             left = np.linspace(0.0, x, 2001)
             right = np.linspace(x, 1.0, 2001)
@@ -181,35 +186,35 @@ def test_min_kernel_eigenrelation_against_integral_operator():
 
 
 def test_cosh_eigenvalues_closed_form():
-    seq = sobolev_cosh_eigenvalues(3)
+    seq = family_eigenvalues(COSH, 3)
     assert seq.values[0] == 1.0
     assert seq.values[1] == pytest.approx(0.09199966835037524, abs=1e-12)
     assert seq.values[2] == pytest.approx(1.0 / (1.0 + 4.0 * math.pi ** 2), abs=1e-15)
     assert seq.exact_decay == 2.0
 
 
-def _cosh_derivative(p, x):
+def _cosh_derivative(j, x):
     # eta_j = beta cos(alpha x), alpha = (j - 1) pi
-    a, b = p.params["alpha"], p.params["beta"]
+    a, b = _constants(COSH, j)
     return -b * a * np.sin(a * x)
 
 
-def _cosh_inner(p, q, nodes=8193):
+def _cosh_inner(i, j, nodes=8193):
     x = np.linspace(0.0, 1.0, nodes)
-    return float(scipy.integrate.simpson(p.func(x) * q.func(x), x=x)
-                 + scipy.integrate.simpson(_cosh_derivative(p, x) * _cosh_derivative(q, x), x=x))
+    values = family_eigenpair(COSH, i).func(x) * family_eigenpair(COSH, j).func(x)
+    return float(scipy.integrate.simpson(values, x=x)
+                 + scipy.integrate.simpson(_cosh_derivative(i, x) * _cosh_derivative(j, x), x=x))
 
 
 def test_cosh_eigenfunctions_orthonormal():
-    pairs = [sobolev_cosh_eigenpair(j) for j in range(1, 5)]
-    for i, p in enumerate(pairs):
-        assert _cosh_inner(p, p) == pytest.approx(1.0, abs=1e-8)
-        for q in pairs[i + 1:]:
-            assert abs(_cosh_inner(p, q)) < 1e-8
+    for i in range(1, 5):
+        assert _cosh_inner(i, i) == pytest.approx(1.0, abs=1e-8)
+        for j in range(i + 1, 5):
+            assert abs(_cosh_inner(i, j)) < 1e-8
 
 
 def test_korobov_spectrum_layout():
-    seq = korobov_eigenvalues(1.0, 0.5, 5)
+    seq = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=0.5), 5)
     assert seq.values[0] == 1.0
     assert seq.values[1] == seq.values[2] == 0.5
     assert seq.values[3] == seq.values[4] == 0.125
@@ -217,21 +222,20 @@ def test_korobov_spectrum_layout():
     # matches a brute-force sort of the generating rule
     raw = sorted([1.0] + [0.5 * k ** -2.0 for k in range(1, 4) for _ in range(2)],
                  reverse=True)
-    np.testing.assert_allclose(korobov_eigenvalues(1.0, 0.5, 7).values, raw)
+    np.testing.assert_allclose(
+        family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=0.5), 7).values, raw)
 
 
 def test_korobov_beta_one_top_tie():
-    seq = korobov_eigenvalues(1.0, 1.0, 4)
+    seq = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=1.0), 4)
     assert seq.values[0] == seq.values[1] == seq.values[2] == 1.0
 
 
 def test_invalid_korobov_parameters():
-    with pytest.raises(ParameterError):
-        korobov_eigenvalues(0.4, 0.5, 3)
-    with pytest.raises(ParameterError):
-        korobov_eigenvalues(1.0, 0.0, 3)
-    with pytest.raises(ParameterError):
-        korobov_eigenvalues(math.inf, 0.5, 3)   # k^-inf would give 1, beta, beta, 0, ...
+    for alpha, beta in ((0.4, 0.5), (1.0, 0.0),
+                        (math.inf, 0.5)):   # k^-inf would give 1, beta, beta, 0, ...
+        with pytest.raises(ParameterError):
+            family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=beta), 3)
 
 
 ANALYTIC_SPECS = [KernelSpec("sobolev-min"), KernelSpec("sobolev-cosh"),
@@ -245,17 +249,27 @@ def test_every_reader_takes_the_one_table(spec):
     assert values.shape == (9,) and all(col.shape == (9,) for col in params.values())
     assert np.array_equal(family_eigenvalues(spec, 9).values, values)
     for j in range(1, 10):
-        pair = family_eigenpair(spec, j)
-        assert pair.index == j and pair.value == values[j - 1]
-        assert pair.params == {key: col[j - 1] for key, col in params.items()}
-    if spec.family == "korobov":
-        assert np.array_equal(korobov_eigenvalues(spec.alpha, spec.beta, 9).values, values)
-    else:
-        rule, pair = {"sobolev-min": (sobolev_min_eigenvalues, sobolev_min_eigenpair),
-                      "sobolev-cosh": (sobolev_cosh_eigenvalues,
-                                       sobolev_cosh_eigenpair)}[spec.family]
-        assert np.array_equal(rule(9).values, values)
-        assert pair(9).value == values[-1]
+        assert family_eigenpair(spec, j).value == values[j - 1]
+
+
+def test_eigenfunctions_at_hand_worked_points():
+    # eta_j worked out by hand from the closed forms; sobolev-min's eta_j is
+    # checked against the integral operator in the min-kernel tests
+    x = [0.0, 0.125, 0.25, 0.5, 1.0]
+    r = math.sqrt(0.5)
+    korobov = KernelSpec("korobov", alpha=1.0, beta=0.5)   # lambda_2..5 = 1/2, 1/2, 1/8, 1/8
+    for j, want in ((1, [1.0, 1.0, 1.0, 1.0, 1.0]),
+                    (2, [1.0, r, 0.0, -1.0, 1.0]),         # cos(2 pi x)
+                    (3, [0.0, r, 1.0, 0.0, 0.0]),          # sin(2 pi x)
+                    (4, [0.5, 0.0, -0.5, 0.5, 0.5]),       # cos(4 pi x) / 2
+                    (5, [0.0, 0.5, 0.0, 0.0, 0.0])):       # sin(4 pi x) / 2
+        np.testing.assert_allclose(family_eigenpair(korobov, j)(x), want, rtol=0.0, atol=1e-15)
+    cosh = KernelSpec("sobolev-cosh")
+    beta2 = math.sqrt(2.0 / (1.0 + math.pi ** 2))         # eta_2 = beta_2 cos(pi x)
+    np.testing.assert_allclose(family_eigenpair(cosh, 1)(x), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(family_eigenpair(cosh, 2)(x),
+                               [beta2, beta2 * 0.9238795325112867, beta2 * r, 0.0, -beta2],
+                               rtol=0.0, atol=1e-15)
 
 
 def test_table_rows_do_not_depend_on_the_count():
@@ -275,7 +289,7 @@ def test_korobov_eigenpairs_solve_the_integral_equation():
     spec = KernelSpec("korobov", alpha=2.0, beta=0.5)
     y = np.arange(400) / 400
     pairs = [family_eigenpair(spec, j) for j in range(1, 8)]
-    assert [p.params["harmonic"] for p in pairs] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+    assert family_eigenpairs(spec, 7)[1]["harmonic"].tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
     for p in pairs:
         for x in (0.0, 0.1, 0.37, 0.9):
             kernel = np.array([kernel_eval(spec, x, t) for t in y])

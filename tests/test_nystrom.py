@@ -9,8 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from tensortract import (KernelSpec, NumericError, ParameterError, family_eigenvalues,
-                         korobov_eigenvalues, midpoint_grid, nystrom_spectrum, richardson_refine,
-                         sobolev_cosh_eigenvalues, sobolev_min_eigenvalues)
+                         midpoint_grid, nystrom_spectrum, richardson_refine)
 from tensortract import nystrom
 from tensortract.eigensolve import _FLOAT_ROOTS, _NEWTON_STEPS, _min_kernel_roots
 from tensortract.nystrom import nystrom_solver
@@ -150,7 +149,7 @@ def test_oracle_distance_kernel_anchor_zero_equals_min_kernel():
 # structured solvers against the dense oracle
 # ---------------------------------------------------------------------------
 
-ALL_FAMILIES = [MIN, COSH, KernelSpec("korobov", alpha=0.75, beta=0.5),
+ALL_FAMILIES = [MIN, COSH, KOR, KOR_FFT,
                 KernelSpec("sobolev-distance", a=0.3), HALF, KernelSpec("sobolev-distance", a=1.0),
                 KernelSpec("brownian-min")]
 
@@ -185,14 +184,18 @@ def test_every_solver_matches_dense_eigvalsh(spec, m, choice):
 
 def test_solver_choice():
     fixed = {"korobov": "circulant-fft", "sobolev-cosh": "dct", "brownian-min": "dst",
-             "sobolev-min": "secular"}   # ALL_FAMILIES has korobov at alpha = 0.75
+             "sobolev-min": "secular"}
     specs = ALL_FAMILIES + [KernelSpec("sobolev-distance", a=a) for a in (0.0, 1e-12, 1 - 1e-12)]
     for spec in specs:
         if spec.a in (0.0, 1.0):   # the anchors at the ends have the sobolev-min Gram
             want = "secular"
+        elif spec == KOR:
+            want = "aliased"
         else:
             want = fixed.get(spec.family, "anchored")
         assert nystrom_solver(spec) == want, spec.label()
+    # so the dense test above reaches every solver
+    assert {nystrom_solver(spec) for spec in ALL_FAMILIES} == set(nystrom._SOLVERS)
     # the Bernoulli orders 2 alpha = 2, 4, 6 of the korobov series, and no other
     for alpha in (1.0, 2.0, 3.0, 3 + 1e-14):
         assert nystrom_solver(KernelSpec("korobov", alpha=alpha, beta=0.5)) == "aliased", alpha
@@ -306,7 +309,7 @@ def test_closed_forms_at_a_petascale_grid_are_the_analytic_rules(spec):
     got = nystrom_spectrum(spec, midpoint_grid(10 ** 15), 5).values
     j = np.arange(1, 6)
     if spec.family == "korobov":
-        analytic = korobov_eigenvalues(spec.alpha, spec.beta, 5).values
+        analytic = family_eigenvalues(spec, 5).values
     elif spec == COSH:
         analytic = 1.0 / (1.0 + (np.pi * (j - 1)) ** 2)
     else:
@@ -329,8 +332,9 @@ def test_closed_form_solvers_allocate_no_grid_sized_array(spec):
 
 @pytest.mark.parametrize("count", [2.5, np.float64(3.0), 0])
 @pytest.mark.parametrize("solve", [
-    sobolev_min_eigenvalues, sobolev_cosh_eigenvalues,
-    lambda count: korobov_eigenvalues(1.0, 0.5, count),
+    lambda count: family_eigenvalues(MIN, count),
+    lambda count: family_eigenvalues(COSH, count),
+    lambda count: family_eigenvalues(KOR, count),
     lambda count: nystrom_spectrum(COSH, midpoint_grid(10), count),
     lambda count: richardson_refine(MIN, count, [10, 20]),
 ], ids=["sobolev-min", "sobolev-cosh", "korobov", "nystrom", "richardson"])
@@ -533,7 +537,7 @@ def test_richardson_refine_takes_the_korobov_order(alpha):
     # the korobov midpoint error is O(m^-2 alpha): extrapolating with the
     # order 2 leaves most of it at alpha = 0.75 and adds to it at alpha = 2
     spec = KernelSpec("korobov", alpha=alpha, beta=0.9)
-    exact = korobov_eigenvalues(alpha, 0.9, 3).values
+    exact = family_eigenvalues(spec, 3).values
     raw = nystrom_spectrum(spec, midpoint_grid(2000), 3).values
     refined = richardson_refine(spec, 3, [1000, 2000]).eigensequence.values
     assert np.max(np.abs(refined - exact)) <= 1e-2 * np.max(np.abs(raw - exact))

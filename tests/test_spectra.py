@@ -167,8 +167,6 @@ def test_eigen_sequence_invariants():
         EigenSequence(np.array([1.0, 2.0]))          # increasing
     with pytest.raises(ParameterError):
         EigenSequence(np.array([1.0, -0.5]))         # negative
-    with pytest.raises(ParameterError):
-        EigenSequence(np.array([1.0]), source="bogus")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
