@@ -2,7 +2,12 @@
 
 Each criterion recomputes its quantities from scratch through the public
 modules and compares against either a fixed reference constant, an
-independently derived value, or an exact combinatorial oracle.  The
+independently derived value, or an exact combinatorial oracle.  A criterion
+takes no argument and returns its checks as plain tuples
+``(description, expected, computed, tolerance)``.  The tolerance is a float
+(pass when |computed - expected| <= tolerance, all three taken as floats),
+``"exact"`` (pass when computed == expected) or ``">="`` (pass when
+computed >= expected).  `run_all` alone turns checks into report rows.  Its
 ``fail`` hook perturbs the computed values of one criterion so the harness
 itself can be shown to detect failures.
 """
@@ -21,12 +26,13 @@ from .complexity import (ComplexityQuery, brute_force_count,
                          count_info_complexity_all, estimate_decay,
                          initial_error_ratio_integration, qpt_exponent)
 from .eigensolve import family_eigenpair, family_eigenvalues
-from .nystrom import midpoint_grid, nystrom_spectrum, richardson_refine
+from .errors import ParameterError
+from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
 from .reduction import (piecewise_constant_instance, cube_mean_functional,
                         minimal_error_std, random_problem,
                         random_problem_with_multiplicity, verify_domination,
                         verify_e0_characterization)
-from .spectra import Eigenpair, KernelSpec, kernel_eval
+from .spectra import Eigenpair, KernelSpec, gram_matrix, kernel_eval
 
 # Published reference digits (truncated decimals, hence the loose tolerances).
 LAMBDA1_MIN_KERNEL = 1.35103388
@@ -46,95 +52,61 @@ class CriterionRow:
     computed: object
     tolerance: object
     passed: bool
-    seconds: float | None = None   # wall time of the whole criterion, set by run_all
-
-
-def _close(cid, desc, expected, computed, tol, perturb) -> CriterionRow:
-    computed = float(computed)
-    if perturb:
-        computed += 137.0 * max(float(tol), 1e-9)
-    return CriterionRow(cid, desc, float(expected), computed, float(tol),
-                        abs(computed - float(expected)) <= float(tol))
-
-
-def _equal(cid, desc, expected, computed, perturb) -> CriterionRow:
-    if perturb:
-        computed = computed + 1 if isinstance(computed, int) else f"{computed}-perturbed"
-    return CriterionRow(cid, desc, expected, computed, "exact", computed == expected)
-
-
-def _at_least(cid, desc, bound, computed, perturb) -> CriterionRow:
-    if perturb:
-        computed = bound - 1
-    return CriterionRow(cid, desc, bound, computed, ">=", computed >= bound)
-
-
-def _flag(cid, desc, ok, perturb) -> CriterionRow:
-    if perturb:
-        ok = not ok
-    return CriterionRow(cid, desc, True, bool(ok), "exact", bool(ok))
+    seconds: float   # wall time of the whole criterion
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def c01_min_kernel_eigenvalues(perturb=False):
+def c01_min_kernel_eigenvalues():
     lam = family_eigenvalues(_MIN, 2).values
-    return [
-        _close("1", "sobolev-min lambda_1 = alpha_1^-2", LAMBDA1_MIN_KERNEL,
-               lam[0], 1e-7, perturb),
-        _close("1", "sobolev-min lambda_2 = alpha_2^-2", LAMBDA2_MIN_KERNEL,
-               lam[1], 1e-7, perturb),
-    ]
+    return [("sobolev-min lambda_1 = alpha_1^-2", LAMBDA1_MIN_KERNEL, lam[0], 1e-7),
+            ("sobolev-min lambda_2 = alpha_2^-2", LAMBDA2_MIN_KERNEL, lam[1], 1e-7)]
 
 
-def c02_oracle_agreement(perturb=False):
-    rows = []
+def c02_oracle_agreement():
+    checks = []
     specs = [_MIN, _COSH, KernelSpec("korobov", alpha=1.0, beta=0.5)]
     grid = midpoint_grid(2000)
     for spec in specs:
         analytic = family_eigenvalues(spec, 5).values
         numeric = nystrom_spectrum(spec, grid, 5).values
         rel = float(np.max(np.abs(numeric - analytic) / analytic))
-        rows.append(_close("2", f"oracle vs analytic, first 5 ({spec.label()})",
-                           0.0, rel, 1e-3, perturb))
+        checks.append((f"oracle vs analytic, first 5 ({spec.label()})", 0.0, rel, 1e-3))
     refined = richardson_refine(_MIN, 2, [500, 1000, 2000])
     lam = family_eigenvalues(_MIN, 2).values
-    rows.append(_close("2", "richardson-refined sobolev-min lambda_1",
-                       lam[0], refined.eigensequence.values[0], 1e-5, perturb))
-    rows.append(_close("2", "richardson-refined sobolev-min lambda_2",
-                       lam[1], refined.eigensequence.values[1], 1e-5, perturb))
+    checks.append(("richardson-refined sobolev-min lambda_1",
+                   lam[0], refined.eigensequence.values[0], 1e-5))
+    checks.append(("richardson-refined sobolev-min lambda_2",
+                   lam[1], refined.eigensequence.values[1], 1e-5))
     gate = richardson_refine(_COSH, 3, [500, 1000, 2000])
-    rows.append(_close("2", "cosh rule gate: refined lambda_3 vs 1/(1+4 pi^2)",
-                       1.0 / (1.0 + 4.0 * math.pi ** 2),
-                       gate.eigensequence.values[2], 1e-5, perturb))
+    checks.append(("cosh rule gate: refined lambda_3 vs 1/(1+4 pi^2)",
+                   1.0 / (1.0 + 4.0 * math.pi ** 2), gate.eigensequence.values[2], 1e-5))
     # at m = 16000 and 32000 the O(m^-4) term left after refinement is far below 1e-10
     for spec in specs[:2]:
         refined = richardson_refine(spec, 3, [16000, 32000]).eigensequence.values
         analytic = family_eigenvalues(spec, 3).values
         rel = float(np.max(np.abs(refined - analytic) / analytic))
-        rows.append(_close("2", f"richardson [16000, 32000] vs analytic, first 3 ({spec.label()})",
-                           0.0, rel, 1e-10, perturb))
-    return rows
+        checks.append((f"richardson [16000, 32000] vs analytic, first 3 ({spec.label()})",
+                       0.0, rel, 1e-10))
+    return checks
 
 
-def c03_cosh_lambda2(perturb=False):
-    return [_close("3", "cosh-kernel lambda_2 = 1/(1+pi^2)", LAMBDA2_COSH,
-                   family_eigenvalues(_COSH, 2).values[1], 1e-9, perturb)]
+def c03_cosh_lambda2():
+    return [("cosh-kernel lambda_2 = 1/(1+pi^2)", LAMBDA2_COSH,
+             family_eigenvalues(_COSH, 2).values[1], 1e-9)]
 
 
-def c04_qpt_exponent(perturb=False):
+def c04_qpt_exponent():
     lam = family_eigenvalues(_MIN, 2).values
-    rows = [_close("4", "sobolev-min QPT exponent t* = 1", 1.0,
-                   qpt_exponent(lam[0], lam[1], 2.0), 0.0, perturb)]
+    checks = [("sobolev-min QPT exponent t* = 1", 1.0, qpt_exponent(lam[0], lam[1], 2.0), 0.0)]
     for alpha, beta in [(1.0, math.exp(-1.0)), (2.0, 0.5), (0.75, 0.9),
                         (1.5, 0.1), (1.0, 0.25)]:
         expected = max(1.0 / alpha, 2.0 / math.log(1.0 / beta))
         computed = qpt_exponent(1.0, beta, 2.0 * alpha)
-        rows.append(_close("4", f"korobov t* (alpha={alpha:g}, beta={beta:g})",
-                           expected, computed, 1e-12, perturb))
-    return rows
+        checks.append((f"korobov t* (alpha={alpha:g}, beta={beta:g})", expected, computed, 1e-12))
+    return checks
 
 
 def _counting_cases(n_cases=102, seed=20260808):
@@ -157,7 +129,7 @@ def _counting_cases(n_cases=102, seed=20260808):
         yield eigs, ComplexityQuery(eps=eps, d=d)
 
 
-def c05_counting_equivalence(perturb=False):
+def c05_counting_equivalence():
     mismatches = 0
     cases = 0
     for eigs, query in _counting_cases():
@@ -166,25 +138,21 @@ def c05_counting_equivalence(perturb=False):
         slow = brute_force_count(eigs, query)
         if fast.count != slow.count:
             mismatches += 1
-    return [
-        _at_least("5", "randomized counting cases run", 100, cases, perturb),
-        _equal("5", "weight-classes vs direct-enum mismatches", 0, mismatches, perturb),
-    ]
+    return [("randomized counting cases run", 100, cases, ">="),
+            ("weight-classes vs direct-enum mismatches", 0, mismatches, "exact")]
 
 
-def c06_curse_lower_bound(perturb=False):
+def c06_curse_lower_bound():
     eigs = family_eigenvalues(KernelSpec("korobov", alpha=1.0, beta=1.0), 64)
     worst_ratio = math.inf
     for d in range(1, 13):
         for eps in (0.1, 0.5, 0.9):
             res = count_info_complexity_all(eigs, ComplexityQuery(eps=eps, d=d))
             worst_ratio = min(worst_ratio, res.count / 2 ** d)
-    return [CriterionRow("6", "korobov beta=1: count / 2^d over d<=12, eps in {.1,.5,.9}",
-                         1.0, worst_ratio - (2.0 if perturb else 0.0), ">=",
-                         worst_ratio - (2.0 if perturb else 0.0) >= 1.0)]
+    return [("korobov beta=1: count / 2^d over d<=12, eps in {.1,.5,.9}", 1.0, worst_ratio, ">=")]
 
 
-def c07_piecewise_model_closed_form(perturb=False):
+def c07_piecewise_model_closed_form():
     worst_func = 0.0
     worst_op = 0.0
     for d in range(1, 5):
@@ -202,15 +170,11 @@ def c07_piecewise_model_closed_form(perturb=False):
             worst_op = max(worst_op, abs(err - 1.0))
         err, _ = minimal_error_std(problem, "operator", m)
         worst_op = max(worst_op, abs(err))
-    return [
-        _close("7", "mean functional: max |e_n - sqrt(1 - n 2^-d)|, d<=4",
-               0.0, worst_func, 1e-12, perturb),
-        _close("7", "operator: max |e_n - 1| for n < 2^d (and e_{2^d} = 0), d<=4",
-               0.0, worst_op, 1e-12, perturb),
-    ]
+    return [("mean functional: max |e_n - sqrt(1 - n 2^-d)|, d<=4", 0.0, worst_func, 1e-12),
+            ("operator: max |e_n - 1| for n < 2^d (and e_{2^d} = 0), d<=4", 0.0, worst_op, 1e-12)]
 
 
-def c08_domination(perturb=False):
+def c08_domination():
     rng = np.random.default_rng(731)
     violations = 0
     worst_excess = -math.inf
@@ -226,14 +190,11 @@ def c08_domination(perturb=False):
                            report.e_n_functional - report.e_n_operator)
         if not report.passed:
             violations += 1
-    rows = [_equal("8", "domination counterexamples over 100 random problems",
-                   0, violations, perturb)]
-    rows.append(_close("8", "largest signed excess of e_n(I_g) over e_n(S)",
-                       0.0, max(worst_excess, 0.0), 1e-12, perturb))
-    return rows
+    return [("domination counterexamples over 100 random problems", 0, violations, "exact"),
+            ("largest signed excess of e_n(I_g) over e_n(S)", 0.0, max(worst_excess, 0.0), 1e-12)]
 
 
-def c09_e0_characterization(perturb=False):
+def c09_e0_characterization():
     failures = 0
     worst_distance = 0.0
     plan = [1] * 7 + [2] * 7 + [4] * 6
@@ -245,12 +206,8 @@ def c09_e0_characterization(perturb=False):
         if not report.passed or report.multiplicity != mult:
             failures += 1
         worst_distance = max(worst_distance, report.max_achiever_distance)
-    return [
-        _equal("9", "characterization failures over 20 instances (mult 1, 2, 4)",
-               0, failures, perturb),
-        _close("9", "largest G-distance of a maximizer from the predicted set",
-               0.0, worst_distance, 1e-6, perturb),
-    ]
+    return [("characterization failures over 20 instances (mult 1, 2, 4)", 0, failures, "exact"),
+            ("largest G-distance of a maximizer from the predicted set", 0.0, worst_distance, 1e-6)]
 
 
 # 20-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree up to
@@ -272,69 +229,73 @@ def _gauss_legendre(f, a, b):
     return half * math.fsum(w * f(a + half * (t + 1.0)) for t, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def c10_initial_error_ratio(perturb=False):
+def c10_initial_error_ratio():
     def inner(x):
         # split the inner integral at the diagonal kink of the kernel, where
         # it is a polynomial on either side
         return sum(_gauss_legendre(lambda y: kernel_eval(_MIN, x, y), a, b)
                    for a, b in ((0.0, x), (x, 1.0)))
 
-    quad = _gauss_legendre(inner, 0.0, 1.0)
-    base = initial_error_ratio_integration(2).ratio
-    return [
-        _close("10", "e0(INT_1)^2 = integral of the kernel = 4/3",
-               4.0 / 3.0, quad, 1e-8, perturb),
-        _close("10", "initial-error ratio base lambda_1/(4/3)",
-               RATIO_BASE, base, 1e-6, perturb),
-    ]
+    return [("e0(INT_1)^2 = integral of the kernel = 4/3", 4.0 / 3.0,
+             _gauss_legendre(inner, 0.0, 1.0), 1e-8),
+            ("initial-error ratio base lambda_1/(4/3)", RATIO_BASE,
+             initial_error_ratio_integration(2).ratio, 1e-6)]
 
 
-def c11_density_figure(perturb=False):
+def c11_density_figure():
     xs, ys, integral = density_profile(513)
     direction = 1.0 if ys[-1] > ys[0] else -1.0  # brute-force sign oracle
     monotone = bool(np.all(direction * np.diff(ys) > 0.0))
     again_xs, again_ys, _ = density_profile(513)
     identical = density_svg(xs, ys) == density_svg(again_xs, again_ys)
-    return [
-        _close("11", "density unit mass: int g_1^2 over [0,1]", 1.0, integral,
-               1e-6, perturb),
-        _flag("11", "density strictly monotone (direction from sign oracle)",
-              monotone, perturb),
-        _flag("11", "density SVG byte-identical across runs", identical, perturb),
-    ]
+    return [("density unit mass: int g_1^2 over [0,1]", 1.0, integral, 1e-6),
+            ("density strictly monotone (direction from sign oracle)", True, monotone, "exact"),
+            ("density SVG byte-identical across runs", True, identical, "exact")]
 
 
-def c12_decay_estimation(perturb=False):
-    rows = [_close("12", "decay estimate, sobolev-min (window 20..200)", 2.0,
-                   estimate_decay(family_eigenvalues(_MIN, 200), (20, 200)),
-                   0.05, perturb)]
+def c12_decay_estimation():
+    checks = [("decay estimate, sobolev-min (window 20..200)", 2.0,
+               estimate_decay(family_eigenvalues(_MIN, 200), (20, 200)), 0.05)]
     for alpha in (0.75, 1.0, 1.5):
         eigs = family_eigenvalues(KernelSpec("korobov", alpha=alpha, beta=0.5), 220)
-        rows.append(_close("12", f"decay estimate, korobov alpha={alpha:g}",
-                           2.0 * alpha, estimate_decay(eigs, (20, 200)), 0.05,
-                           perturb))
-    return rows
+        checks.append((f"decay estimate, korobov alpha={alpha:g}", 2.0 * alpha,
+                       estimate_decay(eigs, (20, 200)), 0.05))
+    return checks
 
 
-def c13_goodcase_and_classification(perturb=False):
+def c13_goodcase_and_classification():
     eta1 = family_eigenpair(_MIN, 1)
-    rows = [_flag("13", "goodcase holds for the cosine eigenfunction",
-                  check_goodcase_sobolev_min(eta1), perturb)]
+    checks = [("goodcase holds for the cosine eigenfunction", True,
+               bool(check_goodcase_sobolev_min(eta1)), "exact")]
     for t in (0.0, 0.25, 0.5, 1.0, 0.6135):   # 0.6135 lies between the grid points
         section = Eigenpair(value=1.0,
                             func=lambda x, t=t: 0.7 * (1.0 + np.minimum(np.asarray(x, dtype=float), t)))
-        rows.append(_flag(
-            "13", f"goodcase rejected for the kernel section at t={t:g}",
-            not check_goodcase_sobolev_min(section), perturb))
+        checks.append((f"goodcase rejected for the kernel section at t={t:g}", True,
+                       not check_goodcase_sobolev_min(section), "exact"))
     lam = family_eigenvalues(_MIN, 2).values
     report = classify(float(lam[0]), float(lam[1]), 2.0, goodcase=True)
-    rows.append(_equal("13", "linear-class classification", "qpt-not-pt",
-                       report.classification_all, perturb))
-    rows.append(_close("13", "classification QPT exponent", 1.0,
-                       report.qpt_exponent, 0.0, perturb))
-    rows.append(_equal("13", "standard-class classification", "curse",
-                       report.classification_std, perturb))
-    return rows
+    return checks + [
+        ("linear-class classification", "qpt-not-pt", report.classification_all, "exact"),
+        ("classification QPT exponent", 1.0, report.qpt_exponent, 0.0),
+        ("standard-class classification", "curse", report.classification_std, "exact"),
+    ]
+
+
+def c14_solvers_match_dense_eigvalsh():
+    # every closed-form Nystrom solver against numpy's dense eigvalsh of the
+    # kernel's own weighted Gram, at every count of a 64-point grid; the
+    # largest difference is taken relative to lambda_1
+    grid = midpoint_grid(64)
+    specs = [_MIN, _COSH, KernelSpec("brownian-min"),
+             *(KernelSpec("sobolev-distance", a=a) for a in (0.0, 0.3, 0.5)),
+             KernelSpec("korobov", alpha=1.0, beta=0.5)]
+    checks = []
+    for spec in specs:
+        dense = np.linalg.eigvalsh(gram_matrix(spec, grid.nodes) / 64)[::-1]
+        solved = nystrom_spectrum(spec, grid, 64).values
+        checks.append((f"{nystrom_solver(spec)} vs dense eigvalsh, m=64 ({spec.label()})",
+                       0.0, np.max(np.abs(solved - dense)) / dense[0], 1e-12))
+    return checks
 
 
 CRITERIA = {
@@ -351,18 +312,39 @@ CRITERIA = {
     "11": c11_density_figure,
     "12": c12_decay_estimation,
     "13": c13_goodcase_and_classification,
+    "14": c14_solvers_match_dense_eigvalsh,
 }
 
 
 def run_all(only=None, fail=None) -> list[CriterionRow]:
+    """Run the criteria in ``only`` (all by default) and judge each check.
+    Every check of criterion ``fail`` has its computed value moved past its
+    tolerance first, by one rule per tolerance kind, so that it fails."""
+    unknown = set(only or ()) - set(CRITERIA)
+    if unknown:
+        raise ParameterError(f"unknown criterion ids: {sorted(unknown)}")
     rows: list[CriterionRow] = []
-    for cid, fn in CRITERIA.items():
+    for cid, criterion in CRITERIA.items():
         if only is not None and cid not in only:
             continue
         start = time.perf_counter()
-        criterion_rows = fn(perturb=(fail == cid))
+        checks = criterion()
         seconds = time.perf_counter() - start
-        for row in criterion_rows:
-            row.seconds = seconds
-        rows.extend(criterion_rows)
+        perturb = fail == cid
+        for description, expected, computed, tol in checks:
+            if tol == "exact":
+                if perturb:
+                    computed = (not computed if isinstance(computed, bool) else computed + 1
+                                if isinstance(computed, int) else f"{computed}-perturbed")
+                passed = computed == expected
+            elif tol == ">=":
+                if perturb:
+                    computed = expected - 1
+                passed = computed >= expected
+            else:
+                expected, computed, tol = float(expected), float(computed), float(tol)
+                if perturb:
+                    computed += 137.0 * max(tol, 1e-9)
+                passed = abs(computed - expected) <= tol
+            rows.append(CriterionRow(cid, description, expected, computed, tol, passed, seconds))
     return rows

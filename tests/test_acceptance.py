@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from tensortract import acceptance
+from tensortract.errors import ParameterError
 
 
 def _run(criterion_id):
-    rows = acceptance.CRITERIA[criterion_id]()
+    rows = acceptance.run_all(only={criterion_id})
     for row in rows:
         status = "PASS" if row.passed else "FAIL"
         print(f"criterion {row.criterion_id}: {status}  {row.description} "
@@ -74,6 +76,10 @@ def test_criterion_13_goodcase_and_classification():
     _run("13")
 
 
+def test_criterion_14_solvers_match_dense_eigvalsh():
+    assert len(_run("14")) == 7
+
+
 def test_fail_hook_is_a_working_negative_control():
     rows = acceptance.run_all(only={"1"}, fail="1")
     assert all(not r.passed for r in rows)
@@ -83,6 +89,18 @@ def test_fail_hook_fails_every_oracle_row():
     rows = acceptance.run_all(only={"2"}, fail="2")
     assert len(rows) == 8 and not any(r.passed for r in rows)
     assert sum("[16000, 32000]" in r.description for r in rows) == 2
+
+
+@pytest.mark.parametrize("cid", list(acceptance.CRITERIA))
+def test_fail_hook_fails_every_row_of_every_criterion(cid):
+    rows = acceptance.run_all(only={cid}, fail=cid)
+    assert rows and not any(r.passed for r in rows)
+    assert {r.criterion_id for r in rows} == {cid}
+
+
+def test_run_all_refuses_an_unknown_id():
+    with pytest.raises(ParameterError, match="unknown criterion ids"):
+        acceptance.run_all(only={"1", "99"})
 
 
 def test_run_all_covers_every_criterion():

@@ -156,8 +156,8 @@ def test_csv_text_fields_round_trip(tmp_path, capsys):
     assert {len(row) for row in table} == {len(header)}
     assert "korobov t* (alpha=1, beta=0.367879)" in [row[1] for row in table]
     line = next(_csv_lines([['say "hi", then\nstop', 0.5, True, None]]))
-    assert line == '"say ""hi"", then\nstop",0.5,true,None\n'
-    assert list(csv.reader(io.StringIO(line))) == [['say "hi", then\nstop', "0.5", "true", "None"]]
+    assert line == '"say ""hi"", then\nstop",0.5,true,\n'
+    assert list(csv.reader(io.StringIO(line))) == [['say "hi", then\nstop', "0.5", "true", ""]]
 
 
 def test_oracle_eigs_at_a_petascale_grid_is_the_analytic_rule(capsys):
@@ -360,6 +360,13 @@ def test_classify_korobov_tie(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["classification_all"] == "curse"
     assert data["classification_std"] == "curse"
+
+
+def test_classify_csv_writes_null_as_an_empty_field(capsys):
+    assert run(["classify", "--family", "korobov", "--alpha", "1", "--beta", "1"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    fields = dict(zip(header, row))
+    assert fields["qpt_exponent"] == fields["goodcase_holds"] == ""
 
 
 def test_density_outputs_and_determinism(tmp_path, capsys):
