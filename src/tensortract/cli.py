@@ -221,6 +221,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.samples > _MAX_EIGENVALUES:
+        raise ResourceLimitError(f"--samples {args.samples} exceeds 2^21 points")
     xs, ys, integral = density_profile(args.samples)
     stem = Path(args.out) if args.out else Path("density")
     if stem.suffix in (".csv", ".svg", ".json"):

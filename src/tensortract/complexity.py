@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,10 +113,12 @@ def _multiset_count(w: np.ndarray, d: int, budget: float) -> int:
     d! / prod t_j! orderings times prod mu_j^(t_j) choices of members.  The
     multisets are enumerated with an explicit stack, taking t indices from one
     class at a time, t = slots down to 1, until filling the slots left from
-    the next class would already reach the residual budget.
+    the next class would already reach the residual budget.  One bisection
+    counts the last slot's choices: the indices from the next class on below the residual.
     """
-    # w is ascending, so the classes are too; the infinite sentinel ends every scan
-    classes = list(Counter(w.tolist()).items()) + [(math.inf, 0)]
+    # w ascends: class j is w[first[j]:first[j + 1]], and the infinite sentinel ends every scan
+    first = [0] + (np.flatnonzero(np.diff(w)) + 1).tolist() + [len(w)]
+    values = w[first[:-1]].tolist() + [math.inf]
     cap = COUNT_SATURATION + 1
     comb = math.comb
     total = 0
@@ -128,16 +130,19 @@ def _multiset_count(w: np.ndarray, d: int, budget: float) -> int:
             raise ResourceLimitError("multiset enumeration guard exceeded; near-tied "
                                      "eigenvalues make this count too costly")
         start, slots, residual, tuples = stack.pop()
-        if slots == 0:
+        if slots <= 1:   # the last slot's choices, or a full tuple
+            if slots:
+                tuples *= first[bisect_left(values, residual, start)] - first[start]
             total = min(total + tuples, cap)
             continue
-        for j in range(start, len(classes)):
-            v, mu = classes[j]
+        for j in range(start, len(values)):
+            v = values[j]
             if v * slots >= residual:
                 break
+            mu = first[j + 1] - first[j]
             for t in range(slots, 0, -1):
                 rest = residual - t * v
-                if t < slots and classes[j + 1][0] * (slots - t) >= rest:
+                if t < slots and values[j + 1] * (slots - t) >= rest:
                     break
                 stack.append((j + 1, slots - t, rest,
                               min(tuples * comb(slots, t) * mu ** min(t, 64), cap)))

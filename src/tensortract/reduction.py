@@ -324,7 +324,13 @@ def _dominant_projection(P: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndar
 @dataclass
 class CharacterizationReport:
     """Outcome of verifying that unit g attains e0(I_g) = e0(S) exactly on
-    {lambda_1^(-1/2) S eta : eta unit, in the top eigenspace}."""
+    {lambda_1^(-1/2) S eta : eta unit, in the top eigenspace}.
+    forward_max_defect: the largest of | ||g||_G - 1 | and | ||S*g||_F - sqrt(lambda_1) |
+    over that whole set.  achievers: the random starts whose limit attains
+    sqrt(lambda_1); max_achiever_distance: their largest G-distance from the set.
+    strict_gap_margin: sqrt(0.64 lambda_1 + 0.36 lambda_next) + 1e-9 less a bound
+    on ||S*g||_F over every g = 0.8 v + 0.6 h, v unit in the set's span and h
+    unit and G-orthogonal to it; inf when the span fills G."""
 
     lambda1: float
     multiplicity: int
@@ -337,14 +343,16 @@ class CharacterizationReport:
 
 def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                                seed: int = 0) -> CharacterizationReport:
-    """Forward: g = lambda_1^(-1/2) S eta has unit norm and ||S*g||_F = sqrt(lambda_1).
-    Converse: maximize ||S*g||_F over unit g from ``samples`` random starts;
-    every achiever must lie within 1e-6 G-distance of the characterized set.
-    Each start goes straight to where power iteration on SS* would take it
-    (`_dominant_projection`, from an eigensolve of SS* in G coordinates, apart
-    from the F-side eigensolve that defines the set).  Also checks the strict
-    gap: adding a component orthogonal to S(top eigenspace) provably lowers
-    ||S*g||_F.
+    """Check the characterization with M = gram_G, P = SS* in G coordinates
+    and V = S eta_i / sqrt(lambda_1), a G-orthonormal basis of the set's span.
+    Forward: the extreme eigenvalues of V'MV and V'MPV against 1 and lambda_1.
+    Converse: ``samples`` random unit g, each taken straight to its
+    power-iteration limit on SS* (`_dominant_projection`, from an eigensolve
+    of SS* in G coordinates, apart from the F-side eigensolve that defines the
+    set); every one attaining sqrt(lambda_1) must lie within 1e-6 of the set.
+    Strict gap: with Q a G-orthonormal basis of V's complement, a and b the
+    largest eigenvalues of V'MPV and Q'MPQ and c = ||V'MPQ||_2, the bound
+    ||S*g||^2 <= 0.64 a + 0.36 b + 0.96 c must not exceed 0.64 lambda_1 + 0.36 lambda_next.
     """
     if samples < 1:
         raise ParameterError("need at least one search sample")
@@ -354,27 +362,18 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
     basis = vecs[:, lam_all >= lam1 * (1.0 - REL_TIE)]
     mult = basis.shape[1]
     S, M = problem.operator_S, problem.gram_G
-    rng = np.random.default_rng(seed)
-
-    # G-orthonormal basis of S(top eigenspace): columns S eta_i / sqrt(lambda_1)
     V = (S @ basis) / math.sqrt(lam1)
     # SS* in G coordinates: S* g has F coordinates gram_F^-1 S' M g
     P = S @ np.linalg.solve(problem.gram_F, S.T @ M)
-
-    def s_star_norm(g):
-        return math.sqrt(max(float(g @ M @ (P @ g)), 0.0))
-
-    forward_defect = 0.0
-    for _ in range(10):
-        z = rng.standard_normal(mult)
-        eta = basis @ (z / np.linalg.norm(z))
-        g = (S @ eta) / math.sqrt(lam1)
-        gnorm = math.sqrt(float(g @ M @ g))
-        forward_defect = max(forward_defect,
-                             abs(gnorm - 1.0),
-                             abs(s_star_norm(g) - math.sqrt(lam1)))
+    MP = M @ P
+    top = np.linalg.eigvalsh(V.T @ MP @ V)
+    # the extremes of ||g||_G and ||S*g||_F over the set
+    norms, s_star = np.sqrt(np.linalg.eigvalsh(V.T @ M @ V)), np.sqrt(top)
+    forward_defect = float(np.max(np.abs(np.concatenate([norms - 1.0,
+                                                         s_star - math.sqrt(lam1)]))))
 
     # converse: random starts, one per column, taken to the power-iteration limit
+    rng = np.random.default_rng(seed)
     g = _dominant_projection(P, M, rng.standard_normal((samples, problem.k)).T)
 
     # ||S*g||_F^2 = g' M P g; NaN columns compare False and drop out
@@ -392,20 +391,15 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
 
     # strict inequality for g with a component outside S(top eigenspace)
     strict_margin = math.inf
-    lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
-    for _ in range(10):
-        h = rng.standard_normal(problem.k)
-        h -= V @ (V.T @ (M @ h))
-        hn = math.sqrt(max(float(h @ M @ h), 0.0))
-        if hn < 1e-8:
-            continue  # S(top eigenspace) already fills G
-        h /= hn
-        z = rng.standard_normal(mult)
-        eta = basis @ (z / np.linalg.norm(z))
-        g = 0.8 * (S @ eta) / math.sqrt(lam1) + 0.6 * h
-        g /= math.sqrt(float(g @ M @ g))
+    if mult < problem.k:
+        # columns Euclidean-orthogonal to MV are G-orthogonal to V
+        N = np.linalg.qr(M @ V, mode="complete")[0][:, mult:]
+        Q = N @ np.linalg.inv(np.linalg.cholesky(N.T @ M @ N)).T
+        cross = np.linalg.norm(V.T @ MP @ Q, 2)
+        sup = 0.64 * top[-1] + 0.36 * np.linalg.eigvalsh(Q.T @ MP @ Q)[-1] + 0.96 * cross
+        lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
         bound = lam1 * (1.0 - (1.0 - lam_next / lam1) * 0.36)
-        strict_margin = min(strict_margin, math.sqrt(bound) + 1e-9 - s_star_norm(g))
+        strict_margin = math.sqrt(bound) + 1e-9 - math.sqrt(max(float(sup), 0.0))
 
     passed = (forward_defect <= 1e-10 and achievers > 0 and max_dist <= 1e-6
               and strict_margin >= 0.0)

@@ -10,15 +10,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import tensortract
 from tensortract import (ComplexityQuery, KernelSpec, NumericError, ResourceLimitError,
                          TruncationError, count_info_complexity_all, family_eigenpair,
                          family_eigenvalues)
 from tensortract.cli import _csv_lines, _fmt, _write_json, build_parser, main
+from tensortract.spectra import FAMILIES
 from tensortract.complexity import _effective_budget, _participating_weights
-from tensortract.eigensolve import _FLOAT_ROOTS, family_count_bound, family_eigenpairs
+from tensortract.eigensolve import (ANALYTIC_FAMILIES, _FLOAT_ROOTS, family_count_bound,
+                                    family_eigenpairs)
 
 MIN = KernelSpec("sobolev-min")
 
@@ -675,6 +677,115 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
         assert exc.code in (0, 2), argv
     else:
         assert code in (0, 1, 2, 3, 4), argv
+
+
+# The CLI contract on well-typed argv: nan, inf, zeros, negatives, range edges
+# and huge integers, but no m-sized solve above m = 10^5 and no long loop
+_HUGE = str(10 ** 30)
+_C_ALPHA = ["nan", "inf", "-1", "0.5", "0.5000001", "0.75", "1", "2"]
+_C_BETA = ["nan", "-1", "0", "1e-300", "0.3", "1", "1.0000001"]
+_C_ANCHOR = ["nan", "-0.5", "0", "1e-300", "0.3", "0.5", "1", "1.5"]
+_C_EPS = ["nan", "inf", "-0.5", "0", "1e-300", "0.001", "0.1", "0.5", "0.999999999999", "1"]
+# per subcommand: its drawn options, and config lines of its own keys
+_CONTRACT_OPTIONS = {
+    "eigs": {"--count": ["-3", "0", "1", "7", str(2 ** 21 + 1), _HUGE]},
+    "oracle-eigs": {"--count": ["-1", "0", "1", "5", "64"], "--anchor": _C_ANCHOR,
+                    "--grid-size": ["-1", "0", "1", "7", "400", "100000", str(10 ** 15),
+                                    str(2 ** 53), str(2 ** 53 + 1), _HUGE],
+                    "--refine": ["3,100,200", "1000,2000", "7,5", "a,b", "5", f"3,{_HUGE}"]},
+    "complexity": {"--d": ["-1", "0", "1", "3", "8", str(10 ** 19)], "--eps": _C_EPS,
+                   "--info-class": ["all", "std"]},
+    "classify": {},
+    "density": {"--samples": ["-1", "0", "1", "2", "65", str(2 ** 21 + 1), _HUGE]},
+    "verify-reduction": {"--seed": ["-1", "0", "7", str(2 ** 70)], "--problems": ["0", "1", "2"],
+                         "--trials": ["0", "1", "2"], "--samples": ["0", "1", "3"],
+                         "--max-n": ["-1", "0", "2", "9"], "--m-max": ["1", "2", "6"],
+                         "--k-max": ["0", "1", "4"], "--problem": ["{problem}"]},
+    "reproduce": {"--only": ["1", "3", "6", "13", "14", "1,13", "99"]},
+}
+_CONTRACT_CONFIG = {"eigs": "count=3", "oracle-eigs": "grid-size=50", "complexity": "eps=0.25",
+                    "classify": "family=sobolev-cosh", "density": "samples=9",
+                    "verify-reduction": "problems=1", "reproduce": "only=4"}
+_PROBLEM_FILES = ["", "2 1\n1 0 0 1\n0.5 0.5\n1\n", "2 1\nnan 0 0 1\n0.5 0.5\n1\n",
+                  "2 1\n1 2 0.5 1\n0.5 0.5\n1\n", "1 1\n-1\n1\n1\n", "x y\n"]
+_TABULAR = ("eigs", "oracle-eigs", "complexity", "classify", "reproduce")
+
+
+@st.composite
+def _contract_case(draw):
+    """(argv, config text or None, problem file text)."""
+    command = draw(st.sampled_from(sorted(_CONTRACT_OPTIONS)))
+    argv = [command]
+    if command in ("eigs", "oracle-eigs", "complexity", "classify"):
+        families = FAMILIES if command == "oracle-eigs" else ANALYTIC_FAMILIES
+        family = draw(st.sampled_from(families))
+        argv += ["--family", family]
+        # korobov needs both parameters and every other family refuses them:
+        # those get one only now and then
+        for option, values in (("--alpha", _C_ALPHA), ("--beta", _C_BETA)):
+            wanted = draw(st.booleans()) if family == "korobov" else draw(st.integers(0, 9)) == 0
+            if wanted:
+                argv += [option, draw(st.sampled_from(values))]
+    options = _CONTRACT_OPTIONS[command]
+    for option in draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else ():
+        argv += [option, draw(st.sampled_from(options[option]))]
+    # complexity needs --d and --eps; reproduce runs a few fast criteria, never all
+    for option, default in {"complexity": {"--d": "2", "--eps": "0.1"},
+                            "reproduce": {"--only": "1"}}.get(command, {}).items():
+        argv += [] if option in argv else [option, default]
+    if "korobov" in argv and command == "oracle-eigs":
+        # the circulant solver is m-sized: grids up to 10^5 only
+        sizes = [int(s) for i, tok in enumerate(argv) if tok in ("--grid-size", "--refine")
+                 for s in argv[i + 1].split(",") if s.isdigit()]
+        assume(max(sizes, default=2000) <= 10 ** 5)
+    config = None
+    if draw(st.booleans()):
+        lines = st.sampled_from(["", "# a comment", _CONTRACT_CONFIG[command], "no equals sign"])
+        config = "\n".join(draw(st.lists(lines, max_size=3)))
+    return argv, config, draw(st.sampled_from(_PROBLEM_FILES))
+
+
+def _json_rows(payload):
+    """The row dicts of a JSON payload: the list it is or holds, else the one dict."""
+    if isinstance(payload, list):
+        return payload
+    return next((v for v in payload.values() if isinstance(v, list)), [payload])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_contract_case())
+@example((["density", "--samples", _HUGE], None, ""))   # once a numpy ValueError
+@example((["oracle-eigs", "--grid-size", _HUGE], None, ""))   # once an OverflowError from len()
+@example((["oracle-eigs", "--family", "sobolev-distance", "--anchor", "0.3",
+           "--grid-size", str(2 ** 53), "--count", "64"], None, ""))
+def test_cli_contract_property(tmp_path, monkeypatch, case):
+    """Every call returns a documented exit code and raises nothing; on exit 0
+    the CSV and the JSON of a tabular subcommand hold the same fields under
+    _fmt, all but reproduce's wall times."""
+    argv, config, problem = case
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "problem.txt").write_text(problem)
+    argv = [tok.format(problem=tmp_path / "problem.txt") for tok in argv]
+    if config is not None:
+        (tmp_path / "args.cfg").write_text(config)
+        argv += ["--config", str(tmp_path / "args.cfg")]
+    if argv[0] not in _TABULAR:
+        assert run(argv + ["--out", str(tmp_path / "out")]) in (0, 1, 2, 3, 4), argv
+        return
+    outs = {fmt: tmp_path / f"out.{fmt}" for fmt in ("csv", "json")}
+    codes = {run(argv + ["--format", fmt, "--out", str(out)]) for fmt, out in outs.items()}
+    assert len(codes) == 1 and codes <= {0, 1, 2, 3, 4}, (argv, codes)
+    if codes != {0}:
+        return
+    lines = list(csv.reader(io.StringIO(outs["csv"].read_text())))
+    header, rows = lines[0], _json_rows(json.loads(outs["json"].read_text()))
+    assert len(lines) == 1 + len(rows), argv
+    for fields, row in zip(lines[1:], rows):
+        want = next(csv.reader([",".join(_fmt(row[h]) for h in header)]))
+        assert len(fields) == len(header), argv
+        assert [f for f, h in zip(fields, header) if h != "seconds"] == \
+            [f for f, h in zip(want, header) if h != "seconds"], argv
 
 
 @pytest.mark.parametrize("command", ["density", "verify-reduction"])

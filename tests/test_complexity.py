@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tensortract import (ComplexityQuery, Eigenpair, EigenSequence, KernelSpec,
                          NumericError, ParameterError, ResourceLimitError, TruncationError,
@@ -15,6 +15,7 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence, KernelSpec,
                          initial_error_ratio_integration, qpt_exponent)
 from tensortract import complexity
 from tensortract.complexity import _effective_budget, _participating_weights
+from tensortract.spectra import REL_TIE
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
@@ -168,6 +169,29 @@ def test_trailing_zero_ends_a_finite_spectrum_property(positive, eps, d):
         en_all(cut, d, r ** d)
 
 
+LARGE_D_SPECS = st.one_of(
+    st.sampled_from([MIN, COSH]),
+    st.builds(lambda a, b: KernelSpec("korobov", alpha=a, beta=b),
+              st.floats(0.6, 2.5), st.floats(0.05, 0.95)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(LARGE_D_SPECS, st.integers(1, 200), st.floats(0.05, 3.0))
+def test_count_brackets_eps_under_en_all_at_large_d(spec, d, slots):
+    # eps lets about `slots` factors below lambda_1 into a counted product;
+    # the count n must satisfy e_n <= eps e_0 < e_(n-1), within REL_TIE
+    eigs = family_eigenvalues(spec, 2 ** 12)
+    w2 = math.log(eigs.values[0] / eigs.values[1])
+    eps = math.exp(-0.5 * slots * w2)
+    assume(eps < 1.0 - 1e-9)
+    n = count(eigs, eps, d)
+    assume(n < 10 ** 6)
+    e0 = en_all(eigs, d, 0)
+    assert en_all(eigs, d, n) <= eps * e0 * (1.0 + REL_TIE)
+    if n:
+        assert en_all(eigs, d, n - 1) > eps * e0 * (1.0 - REL_TIE)
+
+
 def test_korobov_pairs_match_tie_split():
     eigs = family_eigenvalues(KernelSpec("korobov", alpha=0.75, beta=0.9), 2 ** 14)
     assert count(eigs, 0.01, 6) == tie_split_oracle(eigs, 0.01, 6)
@@ -179,6 +203,15 @@ def test_near_ties_hit_the_multiset_guard(monkeypatch):
     monkeypatch.setattr(complexity, "_MULTISET_GUARD", 100)
     with pytest.raises(ResourceLimitError):
         count(eigs, 0.1, 10)
+
+
+def test_the_last_slot_is_one_lookup(monkeypatch):
+    # at d = 1 the count is a single stack pop, so a list longer than the guard
+    # still counts: here 2 050 042 participating indices
+    monkeypatch.setattr(complexity, "_MULTISET_GUARD", 1)
+    res = count_info_complexity_all(family_eigenvalues(COSH, 2 ** 21),
+                                    ComplexityQuery(eps=1.5527e-07, d=1))
+    assert res.count == res.truncation_index == 2050042
 
 
 def test_count_leaves_recursion_limit_alone(monkeypatch):

@@ -36,7 +36,7 @@ def test_midpoint_grid_shape():
     assert grid.nodes.tolist() == [(i + 0.5) / 8 for i in range(8)]
 
 
-@pytest.mark.parametrize("m", [0, -3, 2.5, 4.0, "4", None])
+@pytest.mark.parametrize("m", [0, -3, 2.5, 4.0, "4", None, 2 ** 53 + 1, 10 ** 30])
 def test_midpoint_grid_size_is_a_positive_integer(m):
     with pytest.raises(ParameterError):
         midpoint_grid(m)
@@ -526,8 +526,66 @@ def test_anchored_tends_to_the_continuum_rule(a):
     assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
 
+def _safeguarded_anchored_eigenvalues(a, m, count):
+    """Oracle for the fixed-step anchored solve: Newton on the same phi from
+    the bracket midpoints, shrinking each bracket [(j - 1) pi/m, (j - 1/2) pi/m]
+    to the iterate by the sign of phi and bisecting when a step leaves it,
+    until every step is at most 1e-15 theta."""
+    p = min(max(math.ceil(a * m - 0.5), 0), m)
+    n, e = 2 * p - m, a - p / m
+    j = np.arange(count)
+    lo, hi = j * (math.pi / m), (j + 0.5) * (math.pi / m)
+    sign = 1.0 - 2.0 * (j % 2)
+    theta = 0.5 * (lo + hi)
+    for _ in range(60):
+        t = np.tan(0.5 * theta)
+        h, dh = 2 * m * t, m * (1.0 + t * t)
+        g, dg = e * h, e * dh
+        cs, ss = np.cos(m * theta), np.sin(m * theta)
+        cr, sr = np.cos(n * theta), np.sin(n * theta)
+        phi = 0.5 * (cs + cr + g * g * (cs - cr)) - h * ss - g * sr
+        dphi = (g * dg * (cs - cr) - 0.5 * (m * ss + n * sr + g * g * (m * ss - n * sr))
+                - dh * ss - m * h * cs - dg * sr - n * g * cr)
+        right = sign * phi >= 0.0
+        lo, hi = np.where(right, theta, lo), np.where(right, hi, theta)
+        step = theta - phi / dphi
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.abs(step - theta) <= 1e-15 * theta
+        theta = step
+        if done.all():
+            return (2.0 * m * np.sin(0.5 * theta)) ** -2
+    raise AssertionError("the safeguarded oracle did not settle")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 16, 101, 1000, 3000, 10 ** 6, 10 ** 9,
+                               2 ** 50, 10 ** 15, 2 ** 53])
+def test_anchored_matches_the_safeguarded_oracle(m):
+    # anchors near 0 and 1, on cell edges k/m (roots on their brackets' left
+    # ends), on nodes and drawn; full spectra up to m = 3000
+    rng = np.random.default_rng(m)
+    anchors = {1e-300, 1e-12, 0.5 / m, 1 / m, 0.25, 0.3, 0.5, 0.7137, 1 - 1 / m,
+               1 - 0.5 / m, 1 - 1e-12, 1 - 2 ** -53}
+    anchors |= {k / m for k in range(0, m + 1, max(1, m // 7))}
+    anchors |= {(k + 0.5) / m for k in range(0, m, max(1, m // 7))}
+    anchors |= set(rng.uniform(0.0, 1.0, 5).tolist())
+    count = m if m <= 3000 else 50
+    for a in sorted(x for x in anchors if 0.0 < x < 1.0):
+        got = nystrom._anchored_eigenvalues(KernelSpec("sobolev-distance", a=a),
+                                            midpoint_grid(m), count)
+        want = _safeguarded_anchored_eigenvalues(a, m, count)
+        assert np.max(np.abs(got - want) / want) <= 4e-15, a
+
+
 def test_anchored_step_cap_is_a_numeric_error(monkeypatch):
     monkeypatch.setattr(nystrom, "_ANCHORED_STEPS", 1)
+    with pytest.raises(NumericError, match="Newton steps"):
+        nystrom_spectrum(HALF, midpoint_grid(100), 5)
+
+
+def test_anchored_root_outside_its_bracket_is_a_numeric_error(monkeypatch):
+    # a start one bracket to the right settles on the next root, in its bracket, not this one's
+    arcsin = np.arcsin
+    monkeypatch.setattr(np, "arcsin", lambda x: arcsin(x) + math.pi)
     with pytest.raises(NumericError, match="Newton steps"):
         nystrom_spectrum(HALF, midpoint_grid(100), 5)
 

@@ -14,6 +14,7 @@ from tensortract import (DiscreteProblem, Functional, NumericError,
                          verify_e0_characterization)
 from tensortract import reduction
 from tensortract.reduction import _generalized_eigh
+from tensortract.spectra import REL_TIE
 
 # step rule of the per-sample power-iteration oracle
 _POWER_STEP_TOL = 1e-13
@@ -321,14 +322,77 @@ def test_closed_form_limit_matches_per_sample_oracle(monkeypatch):
         assert abs(got.max_achiever_distance - want.max_achiever_distance) <= 1e-10
 
 
-def test_block_starts_consume_the_per_sample_stream():
-    # one (samples, k) draw leaves the generator where samples draws of k do,
-    # so the strict-gap rows that follow see the same numbers
-    a, b = np.random.default_rng(5), np.random.default_rng(5)
-    block = a.standard_normal((7, 3))
-    rows = np.array([b.standard_normal(3) for _ in range(7)])
-    assert block.tobytes() == rows.tobytes()
-    assert a.standard_normal(4).tobytes() == b.standard_normal(4).tobytes()
+def _sampled_forward_and_strict(problem, seed, draws=10):
+    """Oracle for the closed-form forward and strict-gap checks: the largest
+    forward defect over ``draws`` random g of the characterized set, and the
+    least strict-gap margin over ``draws`` random g = 0.8 v + 0.6 h."""
+    lam_all, vecs = reduction._eigenspace(problem)
+    lam1 = float(lam_all[-1])
+    basis = vecs[:, lam_all >= lam1 * (1.0 - REL_TIE)]
+    mult = basis.shape[1]
+    S, M = problem.operator_S, problem.gram_G
+    V = (S @ basis) / math.sqrt(lam1)
+    P = S @ np.linalg.solve(problem.gram_F, S.T @ M)
+    rng = np.random.default_rng(seed)
+
+    def s_star_norm(g):
+        return math.sqrt(max(float(g @ M @ (P @ g)), 0.0))
+
+    forward = 0.0
+    for _ in range(draws):
+        z = rng.standard_normal(mult)
+        g = V @ (z / np.linalg.norm(z))
+        forward = max(forward, abs(math.sqrt(float(g @ M @ g)) - 1.0),
+                      abs(s_star_norm(g) - math.sqrt(lam1)))
+    margin = math.inf
+    lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
+    for _ in range(draws):
+        h = rng.standard_normal(problem.k)
+        h -= V @ (V.T @ (M @ h))
+        hn = math.sqrt(max(float(h @ M @ h), 0.0))
+        if hn < 1e-8:
+            continue   # S(top eigenspace) already fills G
+        z = rng.standard_normal(mult)
+        g = 0.8 * V @ (z / np.linalg.norm(z)) + 0.6 * h / hn
+        g /= math.sqrt(float(g @ M @ g))
+        bound = lam1 * (1.0 - (1.0 - lam_next / lam1) * 0.36)
+        margin = min(margin, math.sqrt(bound) + 1e-9 - s_star_norm(g))
+    return forward, margin
+
+
+def test_closed_form_checks_bound_the_sampled_ones():
+    # over every g at once, the forward defect is at least and the strict-gap
+    # margin at most what any sample finds, up to rounding in P = SS*, which
+    # reached 2.1e-14 sqrt(lambda_1) here (cond gram_F = 120); the verdicts agree
+    for p, s, seed in _characterization_cases():
+        report = verify_e0_characterization(p, samples=s, seed=seed)
+        forward, margin = _sampled_forward_and_strict(p, seed)
+        scale = max(1.0, math.sqrt(report.lambda1))
+        assert report.forward_max_defect >= forward - 1e-15 * scale
+        assert report.strict_gap_margin <= margin + 1e-13 * scale
+        assert report.passed == (forward <= 1e-10 and margin >= 0.0 and report.achievers > 0
+                                 and report.max_achiever_distance <= 1e-6)
+
+
+@pytest.mark.parametrize("mult", [1, 2])
+def test_a_planted_wrong_eigenspace_fails_the_characterization(monkeypatch, mult):
+    # turn the top eigenvector 1e-4 towards the first one below the top
+    # eigenspace: the forward and the strict-gap checks each see it, and at
+    # multiplicity 2 the forward check sees it only in the least norm
+    p = random_problem_with_multiplicity(seed=8, m=6, multiplicity=mult)
+    assert verify_e0_characterization(p, samples=5).passed
+    eigenspace = reduction._eigenspace
+
+    def turned(problem):
+        lam, vecs = eigenspace(problem)
+        vecs = vecs.copy()
+        vecs[:, -1] = math.cos(1e-4) * vecs[:, -1] + math.sin(1e-4) * vecs[:, -mult - 1]
+        return lam, vecs
+
+    monkeypatch.setattr(reduction, "_eigenspace", turned)
+    report = verify_e0_characterization(p, samples=5)
+    assert not report.passed
+    assert report.forward_max_defect > 1e-10 and report.strict_gap_margin < 0.0
 
 
 def test_piecewise_model_any_unit_g_attains_e0():
