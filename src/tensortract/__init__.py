@@ -20,7 +20,7 @@ from .reduction import (DiscreteProblem, Functional, build_Ig,
                         cube_mean_functional, fixed_info_radius, load_problem,
                         minimal_error_std, piecewise_constant_instance,
                         random_problem, random_problem_with_multiplicity,
-                        save_problem, top_eigenpair, verify_domination,
+                        top_eigenpair, verify_domination,
                         verify_e0_characterization)
 from .spectra import (REL_TIE, Eigenpair, EigenSequence, KernelSpec,
                       gram_matrix, kernel_eval)

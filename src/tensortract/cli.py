@@ -240,25 +240,27 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify_reduction(args) -> int:
-    if args.seed < 0 or args.max_n < 0 or args.m_max < 2 or args.k_max < 1:
-        raise ParameterError("need --seed >= 0, --max-n >= 0, --m-max >= 2 and --k-max >= 1")
+    if args.seed < 0:
+        raise ParameterError("need --seed >= 0")
     if args.problems < 1 or args.trials < 1 or args.samples < 1:
         raise ParameterError("need --problems, --trials and --samples >= 1")
+    if max(args.problems, args.trials, args.samples) > _MAX_EIGENVALUES:
+        raise ResourceLimitError("--problems, --trials and --samples may not exceed 2^21")
     rng = np.random.default_rng(args.seed)
     reports = []
     failures = 0
     if args.problem:
         problems = [(0, load_problem(args.problem))]
-    else:
+    else:   # each random problem has m in [2, 6], k in [1, 4] and draws n in [0, 2]
         problems = []
         for i in range(args.problems):
-            m = int(rng.integers(2, args.m_max + 1))
-            k = int(rng.integers(1, args.k_max + 1))
+            m = int(rng.integers(2, 7))
+            k = int(rng.integers(1, 5))
             problems.append((i, random_problem(seed=args.seed + 17 * i + 1, m=m, k=k)))
     for i, problem in problems:
         lam1, eta1, _ = top_eigenpair(problem)
         g = (problem.operator_S @ eta1) / math.sqrt(lam1)
-        n = int(rng.integers(0, args.max_n + 1))
+        n = int(rng.integers(0, 3))
         dom = verify_domination(problem, g, n=n, trials=args.trials,
                                 seed=args.seed + 31 * i)
         char = verify_e0_characterization(problem, samples=args.samples,
@@ -369,9 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", type=int, default=100)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--problem", default=None, help="path to a problem file")
     p.set_defaults(func=cmd_verify_reduction)
 

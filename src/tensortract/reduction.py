@@ -39,7 +39,6 @@ class DiscreteProblem:
     gram_F: np.ndarray
     operator_S: np.ndarray
     gram_G: np.ndarray
-    points: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "gram_F", np.asarray(self.gram_F, dtype=float))
@@ -61,10 +60,6 @@ class DiscreteProblem:
             ev = np.linalg.eigvalsh(mat)
             if ev[0] <= _SPD_RTOL * ev[-1]:
                 raise ParameterError(f"{name} must be positive definite")
-        if not self.points:
-            object.__setattr__(self, "points", tuple(range(m)))
-        if len(self.points) != m or len(set(self.points)) != m:
-            raise ParameterError("need m distinct domain points")
 
     @property
     def m(self) -> int:
@@ -75,14 +70,11 @@ class DiscreteProblem:
         return self.gram_G.shape[0]
 
     def point_indices(self, points: Sequence) -> list[int]:
-        lookup = {p: i for i, p in enumerate(self.points)}
-        idx = []
-        for p in points:
-            if p not in lookup:
-                raise ParameterError(f"{p!r} is not a domain point")
-            idx.append(lookup[p])
-        if len(set(idx)) != len(idx):
-            raise ParameterError("duplicate sample points")
+        """The sample points, checked to be distinct integer indices into 0..m-1."""
+        idx = [int(p) for p in points if isinstance(p, (int, np.integer)) and 0 <= p < self.m]
+        if len(idx) != len(points) or len(set(idx)) != len(idx):
+            raise ParameterError(f"sample points must be distinct indices in [0, {self.m}), "
+                                 f"got {points!r}")
         return idx
 
 
@@ -154,7 +146,8 @@ def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -
     """Worst-case error of the optimal algorithm for fixed sample points:
     sup{ ||target f|| : ||f||_F <= 1, f(p) = 0 for all sampled p }.
 
-    ``target`` is the string 'operator' (meaning S itself) or a Functional.
+    ``points`` are indices into 0..m-1; ``target`` is the string 'operator'
+    (meaning S itself) or a Functional.
     """
     idx = problem.point_indices(points)
     if not (isinstance(target, Functional) or (isinstance(target, str) and target == "operator")):
@@ -210,7 +203,7 @@ def _fully_exchangeable(problem: DiscreteProblem, target) -> bool:
 def minimal_error_std(problem: DiscreteProblem, target, n: int) -> tuple[float, tuple]:
     """Exact n-th minimal error for standard information: the smallest
     fixed_info_radius over all n-subsets of the domain points, with one
-    minimizing subset.
+    minimizing subset as a tuple of indices.
 
     On fully exchangeable problems every subset is equivalent, so a single
     representative is evaluated; otherwise the search is exhaustive and
@@ -224,16 +217,16 @@ def minimal_error_std(problem: DiscreteProblem, target, n: int) -> tuple[float, 
     if n == 0:
         return fixed_info_radius(problem, target, ()), ()
     if _fully_exchangeable(problem, target):
-        subset = problem.points[:n]
-        return fixed_info_radius(problem, target, subset), tuple(subset)
+        subset = tuple(range(n))
+        return fixed_info_radius(problem, target, subset), subset
     if math.comb(m, n) > _SUBSET_GUARD:
         raise ResourceLimitError(f"C({m},{n}) subsets exceed the search guard")
     best, best_subset = math.inf, ()
-    for subset in itertools.combinations(problem.points, n):
+    for subset in itertools.combinations(range(m), n):
         r = fixed_info_radius(problem, target, subset)
         if r < best:
             best, best_subset = r, subset
-    return best, tuple(best_subset)
+    return best, best_subset
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +318,11 @@ def _dominant_projection(P: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndar
 class CharacterizationReport:
     """Outcome of verifying that unit g attains e0(I_g) = e0(S) exactly on
     {lambda_1^(-1/2) S eta : eta unit, in the top eigenspace}.
-    forward_max_defect: the largest of | ||g||_G - 1 | and | ||S*g||_F - sqrt(lambda_1) |
-    over that whole set.  achievers: the random starts whose limit attains
-    sqrt(lambda_1); max_achiever_distance: their largest G-distance from the set.
-    strict_gap_margin: sqrt(0.64 lambda_1 + 0.36 lambda_next) + 1e-9 less a bound
-    on ||S*g||_F over every g = 0.8 v + 0.6 h, v unit in the set's span and h
+    forward_max_defect: the largest of | ||g||_G - 1 | and | ||S*g||_F / sqrt(lambda_1) - 1 |
+    over that whole set.  achievers: the random starts whose limit attains sqrt(lambda_1)
+    to a relative 1e-8; max_achiever_distance: their largest G-distance from the set.
+    strict_gap_margin: sqrt(0.64 lambda_1 + 0.36 lambda_next) + 1e-9 sqrt(lambda_1) less
+    a bound on ||S*g||_F over every g = 0.8 v + 0.6 h, v unit in the set's span and h
     unit and G-orthogonal to it; inf when the span fills G."""
 
     lambda1: float
@@ -345,7 +338,8 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
                                seed: int = 0) -> CharacterizationReport:
     """Check the characterization with M = gram_G, P = SS* in G coordinates
     and V = S eta_i / sqrt(lambda_1), a G-orthonormal basis of the set's span.
-    Forward: the extreme eigenvalues of V'MV and V'MPV against 1 and lambda_1.
+    Forward: the extreme eigenvalues of V'MV and V'MPV against 1 and lambda_1,
+    to 1e-10 (relative for V'MPV).
     Converse: ``samples`` random unit g, each taken straight to its
     power-iteration limit on SS* (`_dominant_projection`, from an eigensolve
     of SS* in G coordinates, apart from the F-side eigensolve that defines the
@@ -361,16 +355,17 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
     # F-orthonormal basis of the eigenspace of the largest eigenvalue
     basis = vecs[:, lam_all >= lam1 * (1.0 - REL_TIE)]
     mult = basis.shape[1]
+    # tolerances on norms of S*g are relative to sqrt(lambda_1): S's scale sets no verdict
+    root = math.sqrt(lam1)
     S, M = problem.operator_S, problem.gram_G
-    V = (S @ basis) / math.sqrt(lam1)
+    V = (S @ basis) / root
     # SS* in G coordinates: S* g has F coordinates gram_F^-1 S' M g
     P = S @ np.linalg.solve(problem.gram_F, S.T @ M)
     MP = M @ P
     top = np.linalg.eigvalsh(V.T @ MP @ V)
     # the extremes of ||g||_G and ||S*g||_F over the set
     norms, s_star = np.sqrt(np.linalg.eigvalsh(V.T @ M @ V)), np.sqrt(top)
-    forward_defect = float(np.max(np.abs(np.concatenate([norms - 1.0,
-                                                         s_star - math.sqrt(lam1)]))))
+    forward_defect = float(np.max(np.abs(np.concatenate([norms - 1.0, s_star / root - 1.0]))))
 
     # converse: random starts, one per column, taken to the power-iteration limit
     rng = np.random.default_rng(seed)
@@ -378,7 +373,7 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
 
     # ||S*g||_F^2 = g' M P g; NaN columns compare False and drop out
     s_star_norms = np.sqrt(np.maximum((g * (M @ (P @ g))).sum(axis=0), 0.0))
-    found = g[:, s_star_norms >= math.sqrt(lam1) - 1e-8]
+    found = g[:, s_star_norms >= root * (1.0 - 1e-8)]
     achievers = found.shape[1]
     max_dist = 0.0
     if achievers:
@@ -399,7 +394,7 @@ def verify_e0_characterization(problem: DiscreteProblem, samples: int,
         sup = 0.64 * top[-1] + 0.36 * np.linalg.eigvalsh(Q.T @ MP @ Q)[-1] + 0.96 * cross
         lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
         bound = lam1 * (1.0 - (1.0 - lam_next / lam1) * 0.36)
-        strict_margin = math.sqrt(bound) + 1e-9 - math.sqrt(max(float(sup), 0.0))
+        strict_margin = math.sqrt(bound) + 1e-9 * root - math.sqrt(max(float(sup), 0.0))
 
     passed = (forward_defect <= 1e-10 and achievers > 0 and max_dist <= 1e-6
               and strict_margin >= 0.0)
@@ -419,9 +414,9 @@ def piecewise_constant_instance(d: int) -> DiscreteProblem:
     """Identity operator on piecewise-constant functions over the 2^d
     sub-cubes of the unit cube, under the L2 norm.
 
-    Domain points are the sub-cube representatives (binary corners); the
-    kernel Gram is 2^d I so that function values reproduce, and S is the
-    identity, making every eigenvalue of W equal to one.
+    Domain point i is a representative of sub-cube i; the kernel Gram is
+    2^d I so that function values reproduce, and S is the identity, making
+    every eigenvalue of W equal to one.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
@@ -429,9 +424,7 @@ def piecewise_constant_instance(d: int) -> DiscreteProblem:
         raise ResourceLimitError("2^d domain points with d > 12 exceed the model guard")
     m = 2 ** d
     gram = (2.0 ** d) * np.eye(m)
-    corners = tuple(itertools.product((0, 1), repeat=d))
-    return DiscreteProblem(gram_F=gram, operator_S=np.eye(m), gram_G=gram.copy(),
-                           points=corners)
+    return DiscreteProblem(gram_F=gram, operator_S=np.eye(m), gram_G=gram.copy())
 
 
 def cube_mean_functional(problem: DiscreteProblem) -> Functional:
@@ -473,20 +466,12 @@ def random_problem_with_multiplicity(seed: int, m: int, multiplicity: int,
 
 
 # ---------------------------------------------------------------------------
-# Flat-file serialization
+# Problem files
 # ---------------------------------------------------------------------------
 
-def save_problem(problem: DiscreteProblem, path) -> None:
-    """Plain-text format: first line 'm k', then gram_F, operator_S, gram_G
-    row-major, whitespace-separated."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{problem.m} {problem.k}\n")
-        for mat in (problem.gram_F, problem.operator_S, problem.gram_G):
-            for row in np.atleast_2d(mat):
-                fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
-
-
 def load_problem(path) -> DiscreteProblem:
+    """Read a problem file: plain text, first line 'm k', then gram_F (m x m),
+    operator_S (k x m) and gram_G (k x k), row-major, whitespace-separated."""
     try:
         with open(path, encoding="utf-8") as fh:
             tokens = fh.read().split()

@@ -432,9 +432,12 @@ def test_verify_reduction_small(tmp_path):
 
 
 def test_verify_reduction_from_file(tmp_path):
-    from tensortract import random_problem, save_problem
     path = tmp_path / "problem.txt"
-    save_problem(random_problem(seed=2, m=4, k=2), path)
+    # first line 'm k', then gram_F (m x m), operator_S (k x m), gram_G (k x k), row-major
+    path.write_text("3 2\n"
+                    "2 0.5 0\n0.5 2 0.5\n0 0.5 2\n"
+                    "1 0.3 -0.2\n0 1 0.4\n"
+                    "1.5 0.2\n0.2 1\n")
     out = tmp_path / "report.json"
     assert run(["verify-reduction", "--problem", str(path), "--trials", "2",
                 "--samples", "6", "--out", str(out)]) == 0
@@ -442,12 +445,20 @@ def test_verify_reduction_from_file(tmp_path):
     assert data["instances"] == 1
 
 
-def test_verify_reduction_n_beyond_m(capsys):
-    # instance 1 has m = 2 and draws n = 3: n samples of 2 points are 2 samples
-    assert run(["verify-reduction", "--problems", "2", "--seed", "2", "--max-n", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)["reports"][1]
-    assert (report["m"], report["n"]) == (2, 3)
-    assert report["e_n_functional"] == report["e_n_operator"] == 0.0
+@pytest.mark.parametrize("option", ["--max-n", "--m-max", "--k-max"])
+def test_verify_reduction_sets_its_own_instance_sizes(option):
+    # m in [2, 6], k in [1, 4] and n in [0, 2] are fixed; the options are gone
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-reduction", "--problems", "1", option, "3"])
+    assert exc.value.code == 2
+
+
+def test_verify_reduction_loop_counts_are_guarded():
+    # each of these sizes a loop or a (samples, k) draw: past 2^21 is a
+    # resource limit, refused before any problem is drawn
+    for option in ("--problems", "--trials", "--samples"):
+        for value in (2 ** 21 + 1, 10 ** 19):
+            assert run(["verify-reduction", option, str(value)]) == 3, option
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -470,8 +481,7 @@ def test_invalid_arguments_exit_code(tmp_path):
     assert run(["oracle-eigs", "--family", "sobolev-cosh", "--anchor", "0.3"]) == 2
     for refine in ("100,,200", "100,2x00"):
         assert run(["oracle-eigs", "--count", "2", "--refine", refine]) == 2
-    for flag, value in (("--seed", "-1"), ("--max-n", "-1"), ("--m-max", "1"),
-                        ("--k-max", "0"), ("--trials", "0"), ("--samples", "0")):
+    for flag, value in (("--seed", "-1"), ("--trials", "0"), ("--samples", "0")):
         assert run(["verify-reduction", "--problems", "1", flag, value]) == 2
     for problems in ("0", "-1"):   # no instance checked is no pass
         assert run(["verify-reduction", "--problems", problems]) == 2
@@ -697,10 +707,9 @@ _CONTRACT_OPTIONS = {
                    "--info-class": ["all", "std"]},
     "classify": {},
     "density": {"--samples": ["-1", "0", "1", "2", "65", str(2 ** 21 + 1), _HUGE]},
-    "verify-reduction": {"--seed": ["-1", "0", "7", str(2 ** 70)], "--problems": ["0", "1", "2"],
-                         "--trials": ["0", "1", "2"], "--samples": ["0", "1", "3"],
-                         "--max-n": ["-1", "0", "2", "9"], "--m-max": ["1", "2", "6"],
-                         "--k-max": ["0", "1", "4"], "--problem": ["{problem}"]},
+    "verify-reduction": {"--seed": ["-1", "0", "7", str(2 ** 70)],
+                         "--problems": ["0", "1", "2", _HUGE], "--trials": ["0", "1", "2", _HUGE],
+                         "--samples": ["0", "1", "3", _HUGE], "--problem": ["{problem}"]},
     "reproduce": {"--only": ["1", "3", "6", "13", "14", "1,13", "99"]},
 }
 _CONTRACT_CONFIG = {"eigs": "count=3", "oracle-eigs": "grid-size=50", "complexity": "eps=0.25",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,7 @@ from tensortract import (DiscreteProblem, Functional, NumericError,
                          build_Ig, piecewise_constant_instance, cube_mean_functional,
                          fixed_info_radius, load_problem, minimal_error_std,
                          random_problem, random_problem_with_multiplicity,
-                         save_problem, top_eigenpair, verify_domination,
-                         verify_e0_characterization)
+                         top_eigenpair, verify_domination, verify_e0_characterization)
 from tensortract import reduction
 from tensortract.reduction import _generalized_eigh
 from tensortract.spectra import REL_TIE
@@ -123,16 +123,16 @@ def test_subcube_indicator_functional_is_point_evaluation():
 
 def test_fixed_info_radius_basics():
     p = DiscreteProblem(gram_F=[[2.0]], operator_S=[[1.0]], gram_G=[[1.0]])
-    assert fixed_info_radius(p, "operator", p.points) == 0.0
+    assert fixed_info_radius(p, "operator", (0,)) == 0.0
 
     p2 = piecewise_constant_instance(2)
     lam1, _, _ = top_eigenpair(p2)
     assert fixed_info_radius(p2, "operator", ()) == pytest.approx(math.sqrt(lam1), abs=1e-10)
-    for subset in [p2.points[:1], p2.points[:3]]:
+    for subset in [(0,), (0, 1, 2)]:
         assert fixed_info_radius(p2, "operator", subset) == pytest.approx(1.0, abs=1e-12)
     func = cube_mean_functional(p2)
     for n in (1, 2, 3):
-        assert fixed_info_radius(p2, func, p2.points[:n]) == pytest.approx(
+        assert fixed_info_radius(p2, func, tuple(range(n))) == pytest.approx(
             math.sqrt(1.0 - n / 4.0), abs=1e-12)
 
 
@@ -189,7 +189,17 @@ def test_fixed_info_radius_rejects_unknown_target():
 def test_fixed_info_radius_rejects_duplicates():
     p = piecewise_constant_instance(1)
     with pytest.raises(ParameterError):
-        fixed_info_radius(p, "operator", (p.points[0], p.points[0]))
+        fixed_info_radius(p, "operator", (0, 0))
+
+
+@pytest.mark.parametrize("points", [(0.0,), (1.5,), (-1,), (3,), (4,), (1, 2, 1), ("0",),
+                                    (None,)])
+def test_point_indices_refuses_anything_but_distinct_indices(points):
+    p = random_problem(seed=1, m=3, k=2)
+    with pytest.raises(ParameterError, match="distinct indices"):
+        p.point_indices(points)
+    with pytest.raises(ParameterError):
+        fixed_info_radius(p, "operator", points)
 
 
 def _unit_g(problem, rng):
@@ -202,7 +212,7 @@ def test_minimal_error_std_piecewise_closed_form():
     func = cube_mean_functional(p)
     err, pts = minimal_error_std(p, func, 1)
     assert err == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
-    assert len(pts) == 1
+    assert pts == (0,)   # exchangeable: the first indices represent every subset
     assert minimal_error_std(p, "operator", 3)[0] == pytest.approx(1.0, abs=1e-12)
     assert minimal_error_std(p, "operator", 4)[0] == pytest.approx(0.0, abs=1e-12)
     assert minimal_error_std(p, func, 4)[0] == pytest.approx(0.0, abs=1e-12)
@@ -214,12 +224,26 @@ def test_minimal_error_exhaustive_matches_symmetric_shortcut():
     p = random_problem(seed=21, m=5, k=3)
     rng = np.random.default_rng(3)
     func = build_Ig(p, _unit_g(p, rng))
-    import itertools
     for n in (1, 2):
-        err, _ = minimal_error_std(p, func, n)
+        err, subset = minimal_error_std(p, func, n)
         brute = min(fixed_info_radius(p, func, s)
-                    for s in itertools.combinations(p.points, n))
+                    for s in itertools.combinations(range(p.m), n))
         assert err == pytest.approx(brute, abs=1e-14)
+        assert subset in itertools.combinations(range(p.m), n)
+        assert fixed_info_radius(p, func, subset) == err
+
+
+def test_minimal_error_std_and_verify_domination_clamp_n_beyond_m():
+    # n samples of m = 2 distinct points are 2 samples: every function vanishing
+    # at both is zero, so both minimal errors are exactly 0
+    p = random_problem(seed=3, m=2, k=2)
+    g = _unit_g(p, np.random.default_rng(0))
+    for n in (3, 4, 10):
+        assert minimal_error_std(p, "operator", n) == (0.0, (0, 1))
+        assert minimal_error_std(p, build_Ig(p, g), n) == (0.0, (0, 1))
+        report = verify_domination(p, g, n=n, trials=2, seed=0)
+        assert report.passed, report.counterexample
+        assert report.e_n_functional == report.e_n_operator == 0.0
 
 
 def test_minimal_error_guard():
@@ -343,7 +367,7 @@ def _sampled_forward_and_strict(problem, seed, draws=10):
         z = rng.standard_normal(mult)
         g = V @ (z / np.linalg.norm(z))
         forward = max(forward, abs(math.sqrt(float(g @ M @ g)) - 1.0),
-                      abs(s_star_norm(g) - math.sqrt(lam1)))
+                      abs(s_star_norm(g) / math.sqrt(lam1) - 1.0))
     margin = math.inf
     lam_next = lam_all[-(mult + 1)] if mult < len(lam_all) else 0.0
     for _ in range(draws):
@@ -356,7 +380,7 @@ def _sampled_forward_and_strict(problem, seed, draws=10):
         g = 0.8 * V @ (z / np.linalg.norm(z)) + 0.6 * h / hn
         g /= math.sqrt(float(g @ M @ g))
         bound = lam1 * (1.0 - (1.0 - lam_next / lam1) * 0.36)
-        margin = min(margin, math.sqrt(bound) + 1e-9 - s_star_norm(g))
+        margin = min(margin, math.sqrt(bound) + 1e-9 * math.sqrt(lam1) - s_star_norm(g))
     return forward, margin
 
 
@@ -367,20 +391,27 @@ def test_closed_form_checks_bound_the_sampled_ones():
     for p, s, seed in _characterization_cases():
         report = verify_e0_characterization(p, samples=s, seed=seed)
         forward, margin = _sampled_forward_and_strict(p, seed)
-        scale = max(1.0, math.sqrt(report.lambda1))
-        assert report.forward_max_defect >= forward - 1e-15 * scale
-        assert report.strict_gap_margin <= margin + 1e-13 * scale
+        assert report.forward_max_defect >= forward - 1e-15
+        assert report.strict_gap_margin <= margin + 1e-13 * max(1.0, math.sqrt(report.lambda1))
         assert report.passed == (forward <= 1e-10 and margin >= 0.0 and report.achievers > 0
                                  and report.max_achiever_distance <= 1e-6)
+
+
+def _scaled(problem, scale):
+    return DiscreteProblem(gram_F=problem.gram_F, operator_S=problem.operator_S * scale,
+                           gram_G=problem.gram_G)
 
 
 @pytest.mark.parametrize("mult", [1, 2])
 def test_a_planted_wrong_eigenspace_fails_the_characterization(monkeypatch, mult):
     # turn the top eigenvector 1e-4 towards the first one below the top
     # eigenspace: the forward and the strict-gap checks each see it, and at
-    # multiplicity 2 the forward check sees it only in the least norm
-    p = random_problem_with_multiplicity(seed=8, m=6, multiplicity=mult)
-    assert verify_e0_characterization(p, samples=5).passed
+    # multiplicity 2 the forward check sees it only in the least norm.  With S
+    # scaled by 1e-8, sqrt(lambda_1) is 1e-8 and an absolute strict-gap slack
+    # of 1e-9 would hide it
+    base = random_problem_with_multiplicity(seed=8, m=6, multiplicity=mult)
+    problems = [_scaled(base, scale) for scale in (1.0, 1e-8)]
+    assert all(verify_e0_characterization(p, samples=5).passed for p in problems)
     eigenspace = reduction._eigenspace
 
     def turned(problem):
@@ -390,9 +421,19 @@ def test_a_planted_wrong_eigenspace_fails_the_characterization(monkeypatch, mult
         return lam, vecs
 
     monkeypatch.setattr(reduction, "_eigenspace", turned)
-    report = verify_e0_characterization(p, samples=5)
-    assert not report.passed
-    assert report.forward_max_defect > 1e-10 and report.strict_gap_margin < 0.0
+    for p in problems:
+        report = verify_e0_characterization(p, samples=5)
+        assert not report.passed
+        assert report.forward_max_defect > 1e-10 and report.strict_gap_margin < 0.0
+
+
+def test_characterization_verdict_ignores_the_scale_of_S():
+    # sqrt(lambda_1) scales with S, and so does every tolerance on a norm of S*g
+    for i in range(100):
+        p = random_problem(seed=900 + i, m=5, k=3)
+        verdicts = {verify_e0_characterization(_scaled(p, scale), samples=20).passed
+                    for scale in (1e-8, 1.0, 1e5, 1e8)}
+        assert verdicts == {True}, i
 
 
 def test_piecewise_model_any_unit_g_attains_e0():
@@ -403,10 +444,18 @@ def test_piecewise_model_any_unit_g_attains_e0():
     assert report.passed
 
 
+def write_problem(problem, path):
+    """The problem file format: first line 'm k', then gram_F, operator_S and
+    gram_G row-major, 17 significant digits so that every value round-trips."""
+    rows = [row for mat in (problem.gram_F, problem.operator_S, problem.gram_G) for row in mat]
+    path.write_text(f"{problem.m} {problem.k}\n"
+                    + "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in rows))
+
+
 def test_problem_file_round_trip(tmp_path):
     p = random_problem(seed=13, m=4, k=3)
     path = tmp_path / "problem.txt"
-    save_problem(p, path)
+    write_problem(p, path)
     q = load_problem(path)
     np.testing.assert_array_equal(p.gram_F, q.gram_F)
     np.testing.assert_array_equal(p.operator_S, q.operator_S)
@@ -443,10 +492,12 @@ def test_problem_validation():
 def test_problem_is_immutable():
     import dataclasses
     p = random_problem(seed=1, m=3, k=2)
-    for name in ("gram_F", "operator_S", "gram_G", "points"):
+    names = [field.name for field in dataclasses.fields(p)]
+    assert names == ["gram_F", "operator_S", "gram_G"]
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(p, name, getattr(p, name))
-    assert p.points == (0, 1, 2)
+    assert (p.m, p.k) == (3, 2)
 
 
 def test_piecewise_model_d1_norm_is_the_two_point_average():
@@ -466,11 +517,11 @@ def test_sampling_a_point_determines_its_kernel_section_functional():
     # zero radius once p itself is sampled: the reproducing property in action
     from tensortract import Functional
     p = random_problem(seed=6, m=5, k=3)
-    for i, label in enumerate(p.points):
+    for i in range(p.m):
         e = np.zeros(5)
         e[i] = 1.0
         section = Functional(representer=e)
-        assert fixed_info_radius(p, section, (label,)) == pytest.approx(0.0, abs=1e-10)
+        assert fixed_info_radius(p, section, (i,)) == pytest.approx(0.0, abs=1e-10)
         assert fixed_info_radius(p, section, ()) > 0.1
 
 
