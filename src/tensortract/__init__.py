@@ -9,8 +9,7 @@ on finite-dimensional models.
 from .complexity import (ComplexityQuery, ComplexityResult, TractabilityReport,
                          brute_force_count, check_goodcase_sobolev_min,
                          classify, count_info_complexity_all, en_all,
-                         estimate_decay, initial_error_ratio_integration,
-                         qpt_exponent)
+                         estimate_decay, qpt_exponent)
 from .eigensolve import family_eigenpair, family_eigenpairs, family_eigenvalues
 from .errors import (DomainError, NumericError, ParameterError,
                      ResourceLimitError, TruncationError)

@@ -7,9 +7,7 @@ takes no argument and returns its checks as plain tuples
 ``(description, expected, computed, tolerance)``.  The tolerance is a float
 (pass when |computed - expected| <= tolerance, all three taken as floats),
 ``"exact"`` (pass when computed == expected) or ``">="`` (pass when
-computed >= expected).  `run_all` alone turns checks into report rows.  Its
-``fail`` hook perturbs the computed values of one criterion so the harness
-itself can be shown to detect failures.
+computed >= expected).  `run_all` alone turns checks into report rows.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ import numpy as np
 from .cli import density_profile, density_svg
 from .complexity import (ComplexityQuery, brute_force_count,
                          check_goodcase_sobolev_min, classify,
-                         count_info_complexity_all, estimate_decay,
-                         initial_error_ratio_integration, qpt_exponent)
+                         count_info_complexity_all, estimate_decay, qpt_exponent)
 from .eigensolve import family_eigenpair, family_eigenvalues
 from .errors import ParameterError
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
@@ -239,7 +236,7 @@ def c10_initial_error_ratio():
     return [("e0(INT_1)^2 = integral of the kernel = 4/3", 4.0 / 3.0,
              _gauss_legendre(inner, 0.0, 1.0), 1e-8),
             ("initial-error ratio base lambda_1/(4/3)", RATIO_BASE,
-             initial_error_ratio_integration(2).ratio, 1e-6)]
+             family_eigenvalues(_MIN, 1).values[0] / (4.0 / 3.0), 1e-6)]
 
 
 def c11_density_figure():
@@ -316,10 +313,8 @@ CRITERIA = {
 }
 
 
-def run_all(only=None, fail=None) -> list[CriterionRow]:
-    """Run the criteria in ``only`` (all by default) and judge each check.
-    Every check of criterion ``fail`` has its computed value moved past its
-    tolerance first, by one rule per tolerance kind, so that it fails."""
+def run_all(only=None) -> list[CriterionRow]:
+    """Run the criteria in ``only`` (all by default) and judge each check."""
     unknown = set(only or ()) - set(CRITERIA)
     if unknown:
         raise ParameterError(f"unknown criterion ids: {sorted(unknown)}")
@@ -330,21 +325,13 @@ def run_all(only=None, fail=None) -> list[CriterionRow]:
         start = time.perf_counter()
         checks = criterion()
         seconds = time.perf_counter() - start
-        perturb = fail == cid
         for description, expected, computed, tol in checks:
             if tol == "exact":
-                if perturb:
-                    computed = (not computed if isinstance(computed, bool) else computed + 1
-                                if isinstance(computed, int) else f"{computed}-perturbed")
                 passed = computed == expected
             elif tol == ">=":
-                if perturb:
-                    computed = expected - 1
                 passed = computed >= expected
             else:
                 expected, computed, tol = float(expected), float(computed), float(tol)
-                if perturb:
-                    computed += 137.0 * max(tol, 1e-9)
                 passed = abs(computed - expected) <= tol
             rows.append(CriterionRow(cid, description, expected, computed, tol, passed, seconds))
     return rows

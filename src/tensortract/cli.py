@@ -23,8 +23,7 @@ from .complexity import (ComplexityQuery, check_goodcase_sobolev_min, classify,
                          count_info_complexity_all)
 from .eigensolve import (ANALYTIC_FAMILIES, family_count_bound, family_eigenpair,
                          family_eigenpairs, family_eigenvalues, family_exact_decay)
-from .errors import (DomainError, NumericError, ParameterError,
-                     ResourceLimitError, TruncationError)
+from .errors import NumericError, ParameterError, ResourceLimitError, TruncationError
 from .nystrom import midpoint_grid, nystrom_solver, nystrom_spectrum, richardson_refine
 from .reduction import (load_problem, random_problem, top_eigenpair,
                         verify_domination, verify_e0_characterization)
@@ -288,7 +287,7 @@ def cmd_reproduce(args) -> int:
     from . import acceptance
 
     only = set(args.only.split(",")) if args.only else None
-    rows = acceptance.run_all(only=only, fail=args.fail)
+    rows = acceptance.run_all(only=only)
     header = ["criterion_id", "description", "expected", "computed", "tolerance", "pass",
               "seconds"]
     table = [[r.criterion_id, r.description, r.expected, r.computed, r.tolerance, r.passed,
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the full acceptance suite")
     common(p)
     p.add_argument("--only", default=None, help="comma-separated criterion ids")
-    p.add_argument("--fail", default=None, help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=cmd_reproduce)
     return parser
 
@@ -427,7 +425,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_merge_config(argv))
         return args.func(args)
-    except (ParameterError, DomainError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ResourceLimitError, TruncationError) as exc:

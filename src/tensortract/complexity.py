@@ -18,16 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ResourceLimitError, TruncationError
-from .eigensolve import family_eigenvalues
-from .spectra import REL_TIE, Eigenpair, EigenSequence, KernelSpec
+from .spectra import REL_TIE, Eigenpair, EigenSequence
 
 COUNT_SATURATION = 2 ** 63 - 1
-
-# Tuples with products <= threshold within this relative tolerance count as
-# *not* exceeding, which makes exact algebraic ties (korobov beta = 1) robust
-# in floating point.
-_TIE = REL_TIE
-
 _BRUTE_MAX_TUPLES = 10 ** 8
 _BRUTE_CHUNK = 2 * 10 ** 7
 _EN_MAX_RANK = 10 ** 6
@@ -86,7 +79,9 @@ class TractabilityReport:
 
 
 def _effective_budget(eps: float) -> float:
-    return 2.0 * math.log(1.0 / eps) - math.log1p(_TIE)
+    # a product above the threshold by less than REL_TIE (relative) does not exceed
+    # it, which keeps exact algebraic ties (korobov beta = 1) stable in floating point
+    return 2.0 * math.log(1.0 / eps) - math.log1p(REL_TIE)
 
 
 def _participating_weights(eigs: EigenSequence, budget: float) -> np.ndarray:
@@ -162,7 +157,7 @@ def count_info_complexity_all(eigs: EigenSequence, query: ComplexityQuery) -> Co
     return ComplexityResult(
         count=COUNT_SATURATION if saturated else count,
         truncation_index=len(w),
-        tie_tolerance=_TIE,
+        tie_tolerance=REL_TIE,
         method="weight-classes",
         saturated=saturated,
         lower_bound_only=(query.info_class == "std"),
@@ -175,8 +170,8 @@ def brute_force_count(eigs: EigenSequence, query: ComplexityQuery) -> Complexity
     if query.d > 4:
         raise ResourceLimitError("brute force is guarded to d <= 4")
     lam = eigs.values
-    threshold = query.eps ** 2 * lam[0] ** query.d * (1.0 + _TIE)
-    cutoff = lam[0] * query.eps ** 2 * (1.0 + _TIE)
+    threshold = query.eps ** 2 * lam[0] ** query.d * (1.0 + REL_TIE)
+    cutoff = lam[0] * query.eps ** 2 * (1.0 + REL_TIE)
     if lam[-1] > cutoff:
         raise TruncationError("univariate eigenvalue list too short for brute force")
     part = lam[lam > cutoff]
@@ -195,7 +190,7 @@ def brute_force_count(eigs: EigenSequence, query: ComplexityQuery) -> Complexity
         n_chunks = max(1, int(prods.size * L / _BRUTE_CHUNK))
         for chunk in np.array_split(prods, n_chunks):
             count += int(np.count_nonzero(chunk[:, None] * part[None, :] > threshold))
-    return ComplexityResult(count=count, truncation_index=L, tie_tolerance=_TIE,
+    return ComplexityResult(count=count, truncation_index=L, tie_tolerance=REL_TIE,
                             method="direct-enum",
                             lower_bound_only=(query.info_class == "std"))
 
@@ -335,7 +330,7 @@ def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     s_k = sums[n] if len(sums) == k else math.inf
     if lam[-1] == 0.0 and s_k == math.inf:
         return 0.0
-    if len(lam) < k and s_k > w[-1] + math.log1p(_TIE):
+    if len(lam) < k and s_k > w[-1] + math.log1p(REL_TIE):
         raise TruncationError(f"rank {k} needs more eigenvalues: unseen ones could displace it")
     try:
         e_n = float(lam[0]) ** (0.5 * d) if n == 0 else math.exp(0.5 * (d * math.log(lam[0]) - s_k))
@@ -344,26 +339,3 @@ def en_all(eigs: EigenSequence, d: int, n: int) -> float:
     if e_n == 0.0 or e_n == math.inf:   # a positive product always has a positive root
         raise NumericError(f"e_n lies outside the double range at d={d}")
     return e_n
-
-
-@dataclass(frozen=True)
-class InitialErrorComparison:
-    """Initial errors of integration and approximation on the min-kernel
-    Sobolev space, and their ratio base (lambda_1 / (4/3))^(d/2)."""
-
-    e0_integration: float
-    e0_approximation: float
-    ratio: float
-
-
-def initial_error_ratio_integration(d: int) -> InitialErrorComparison:
-    """e0(INT_d) = (4/3)^(d/2) against e0(APP_d) = lambda_1^(d/2) for the
-    min-kernel Sobolev family."""
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    lam1 = float(family_eigenvalues(KernelSpec("sobolev-min"), 1).values[0])
-    return InitialErrorComparison(
-        e0_integration=(4.0 / 3.0) ** (0.5 * d),
-        e0_approximation=lam1 ** (0.5 * d),
-        ratio=(lam1 / (4.0 / 3.0)) ** (0.5 * d),
-    )

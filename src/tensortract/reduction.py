@@ -179,25 +179,22 @@ def fixed_info_radius(problem: DiscreteProblem, target, points: Sequence = ()) -
 
 
 def _fully_exchangeable(problem: DiscreteProblem, target) -> bool:
-    """True when every permutation of the domain points is a problem
-    automorphism, so all n-subsets of sample points are equivalent."""
-    G = problem.gram_F
-    m = problem.m
-    if problem.k != m or not np.array_equal(problem.gram_G, G):
-        return False
-    diag = np.diag(G)
-    if not np.all(diag == diag[0]):
-        return False
-    off = G[~np.eye(m, dtype=bool)]
-    if off.size and not np.all(off == off[0]):
-        return False
-    S = problem.operator_S
-    if not np.array_equal(S, S[0, 0] * np.eye(m)):
+    """True when every permutation of the domain points leaves the radius
+    unchanged, so all n-subsets of sample points are equivalent.  The radius
+    reads only gram_F and the target (S' gram_G S for the operator, the
+    representer for a functional); every permutation fixes a matrix with one
+    diagonal and one off-diagonal value."""
+    off = ~np.eye(problem.m, dtype=bool)
+
+    def fixed(A):
+        return bool(np.all(np.diagonal(A) == A[0, 0]) and np.all(A[off] == A[-1, 0]))
+
+    if not fixed(problem.gram_F):
         return False
     if isinstance(target, Functional):
         r = target.representer
         return bool(np.all(r == r[0]))
-    return target == "operator"
+    return target == "operator" and fixed(_operator_quadratic_form(problem))
 
 
 def minimal_error_std(problem: DiscreteProblem, target, n: int) -> tuple[float, tuple]:

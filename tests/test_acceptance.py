@@ -80,20 +80,23 @@ def test_criterion_14_solvers_match_dense_eigvalsh():
     assert len(_run("14")) == 7
 
 
-def test_fail_hook_is_a_working_negative_control():
-    rows = acceptance.run_all(only={"1"}, fail="1")
+def test_fail_hook_is_a_working_negative_control(fail_hook):
+    fail_hook("1")
+    rows = acceptance.run_all(only={"1"})
     assert all(not r.passed for r in rows)
 
 
-def test_fail_hook_fails_every_oracle_row():
-    rows = acceptance.run_all(only={"2"}, fail="2")
+def test_fail_hook_fails_every_oracle_row(fail_hook):
+    fail_hook("2")
+    rows = acceptance.run_all(only={"2"})
     assert len(rows) == 8 and not any(r.passed for r in rows)
     assert sum("[16000, 32000]" in r.description for r in rows) == 2
 
 
 @pytest.mark.parametrize("cid", list(acceptance.CRITERIA))
-def test_fail_hook_fails_every_row_of_every_criterion(cid):
-    rows = acceptance.run_all(only={cid}, fail=cid)
+def test_fail_hook_fails_every_row_of_every_criterion(fail_hook, cid):
+    fail_hook(cid)
+    rows = acceptance.run_all(only={cid})
     assert rows and not any(r.passed for r in rows)
     assert {r.criterion_id for r in rows} == {cid}
 

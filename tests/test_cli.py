@@ -546,16 +546,26 @@ def test_reproduce_report_carries_criterion_seconds(tmp_path, capsys, fmt):
     assert set(seconds) == {"1", "3"}
 
 
-def test_reproduce_fail_hook(tmp_path, capsys):
+def test_reproduce_fail_hook(tmp_path, capsys, fail_hook):
     out = tmp_path / "report.csv"
-    assert run(["reproduce", "--only", "1", "--fail", "1", "--out", str(out),
-                "--format", "csv"]) == 4
+    fail_hook("1")
+    assert run(["reproduce", "--only", "1", "--out", str(out), "--format", "csv"]) == 4
     assert "FAIL" in capsys.readouterr().out
+    # the perturbation lives in the tests: reproduce has no option for it
+    with pytest.raises(SystemExit) as exc:
+        run(["reproduce", "--fail", "1"])
+    assert exc.value.code == 2
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = subparsers.choices["reproduce"]._actions
+    assert {a.dest for a in options if a.option_strings} - {"help"} == {
+        "out", "format", "config", "only"}
 
 
 @pytest.mark.parametrize("cid", ["9", "13"])
-def test_reproduce_fail_hook_on_characterization_and_goodcase(capsys, cid):
-    assert run(["reproduce", "--only", cid, "--fail", cid]) == 4
+def test_reproduce_fail_hook_on_characterization_and_goodcase(capsys, fail_hook, cid):
+    fail_hook(cid)
+    assert run(["reproduce", "--only", cid]) == 4
     assert "FAIL" in capsys.readouterr().out
 
 

@@ -12,7 +12,7 @@ from tensortract import (ComplexityQuery, Eigenpair, EigenSequence, KernelSpec,
                          brute_force_count, check_goodcase_sobolev_min,
                          classify, count_info_complexity_all, en_all,
                          estimate_decay, family_eigenpair, family_eigenvalues,
-                         initial_error_ratio_integration, qpt_exponent)
+                         qpt_exponent)
 from tensortract import complexity
 from tensortract.complexity import _effective_budget, _participating_weights
 from tensortract.spectra import REL_TIE
@@ -714,13 +714,3 @@ def test_en_all_rank_guard_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 16
-
-
-def test_initial_error_ratio():
-    cmp1 = initial_error_ratio_integration(1)
-    assert cmp1.e0_integration == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-15)
-    assert cmp1.e0_approximation == pytest.approx(math.sqrt(1.3510338868783787), abs=1e-12)
-    cmp2 = initial_error_ratio_integration(2)
-    assert cmp2.ratio == pytest.approx(1.013275415158784, abs=1e-12)
-    # ratio grows exponentially with d
-    assert initial_error_ratio_integration(200).ratio > 3.0

@@ -231,6 +231,30 @@ def test_minimal_error_exhaustive_matches_symmetric_shortcut():
         assert err == pytest.approx(brute, abs=1e-14)
         assert subset in itertools.combinations(range(p.m), n)
         assert fixed_info_radius(p, func, subset) == err
+    # the exchangeable shortcut evaluates one subset; it agrees with the
+    # enumeration too, also where k != m, gram_G != gram_F and S is not s I
+    cube = piecewise_constant_instance(3)
+    m, J = 5, np.ones((5, 5))
+    coupled = DiscreteProblem(gram_F=np.eye(m) + 0.5 * J, operator_S=2.0 * np.eye(m) + J,
+                              gram_G=np.eye(m))
+    for p, target in [(cube, "operator"), (cube, cube_mean_functional(cube)),
+                      (coupled, "operator")]:
+        for n in range(1, p.m + 1):
+            assert reduction._fully_exchangeable(p, target)
+            brute = min(fixed_info_radius(p, target, s)
+                        for s in itertools.combinations(range(p.m), n))
+            assert minimal_error_std(p, target, n)[0] == pytest.approx(brute, abs=1e-14)
+    # the same gram_F with a target that tells the points apart: no shortcut
+    graded = DiscreteProblem(gram_F=coupled.gram_F, operator_S=np.diag(np.arange(1.0, m + 1)),
+                             gram_G=np.eye(m))
+    assert not reduction._fully_exchangeable(graded, "operator")
+    assert not reduction._fully_exchangeable(graded, build_Ig(graded, np.eye(m)[0]))
+    # and a target that cannot tell the points apart on a gram_F that can
+    tilted = np.eye(m)
+    tilted[0, 1] = tilted[1, 0] = 0.3
+    for gram_F in (np.diag(np.arange(1.0, m + 1)), tilted):
+        p = DiscreteProblem(gram_F=gram_F, operator_S=np.eye(m), gram_G=np.eye(m))
+        assert not reduction._fully_exchangeable(p, "operator")
 
 
 def test_minimal_error_std_and_verify_domination_clamp_n_beyond_m():
