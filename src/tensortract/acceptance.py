@@ -279,13 +279,13 @@ def c13_goodcase_and_classification():
 
 
 def c14_solvers_match_dense_eigvalsh():
-    # every closed-form Nystrom solver against numpy's dense eigvalsh of the
+    # every Nystrom solver against numpy's dense eigvalsh of the
     # kernel's own weighted Gram, at every count of a 64-point grid; the
     # largest difference is taken relative to lambda_1
     grid = midpoint_grid(64)
     specs = [_MIN, _COSH, KernelSpec("brownian-min"),
              *(KernelSpec("sobolev-distance", a=a) for a in (0.0, 0.3, 0.5)),
-             KernelSpec("korobov", alpha=1.0, beta=0.5)]
+             *(KernelSpec("korobov", alpha=alpha, beta=0.5) for alpha in (1.0, 0.75))]
     checks = []
     for spec in specs:
         dense = np.linalg.eigvalsh(gram_matrix(spec, grid.nodes) / 64)[::-1]

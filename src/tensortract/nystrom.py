@@ -269,8 +269,8 @@ def nystrom_spectrum(spec: KernelSpec, grid: QuadratureGrid, count: int) -> Eige
 
 @dataclass(frozen=True)
 class RefinedSpectrum:
-    """Richardson-extrapolated eigenvalues plus a per-eigenvalue error
-    estimate (the difference of the two finest grid levels)."""
+    """Richardson-extrapolated eigenvalues plus |lambda(m2) - lambda(m1)|, the raw difference of
+    the two finest grids: 2e4 to 6e6 times the refined values' error on grids of 100 to 2000."""
 
     eigensequence: EigenSequence
     error_estimates: np.ndarray

@@ -156,10 +156,38 @@ def _bernoulli_order(alpha: float) -> int | None:
 # s = 40 on, Gamma(s) nears overflow and 4^-s < 1e-24: three terms of the series are exact.
 # (-1)^j / (2j)!, each rounded once from the exact rational:
 _SIGNED_INV_FACTORIALS = np.array([(-1) ** j / math.factorial(2 * j) for j in range(32)])
-# zeta(1 + d) - 1/d = sum_k (-1)^k gamma_k d^k / k!, gamma_k the Stieltjes constants,
-# highest power first as np.polyval takes it:
-_ZETA1_REGULAR = (-0.00034230573671722433, -0.004845181596436159,
-                  0.07281584548367671, 0.5772156649015329)
+# zeta(1 + d) - 1/d = sum_k (-1)^k gamma_k d^k / k! (Stieltjes gamma_k), lowest power first:
+_ZETA1_REGULAR = (
+    0.5772156649015329, 0.07281584548367673, -0.00484518159643616, -0.00034230573671722433,
+    9.689041939447084e-05, -6.6110318108421895e-06, -3.316240908752772e-07, 1.0462094584479188e-07,
+    -8.733218100273798e-09, 9.47827778276236e-11, 5.658421927608708e-11, -6.768689863513697e-12,
+    3.4921159366720317e-13, 4.4104247417577536e-15, -2.3997862217709992e-15, 2.1677312200726828e-16)
+# P. Borwein's sum (2000), n = 22: zeta(w) = sum_{k<=n} (-1)^k T_k k^-w / ((2^(1-w) - 1) T_0),
+# T_k = sum_{i>=k} n C(n+i, 2i) 4^i / (n+i), error ~5.8^-n; k runs n..1, smallest terms first
+_ETA_TERMS = np.array([22 * math.comb(22 + i, 2 * i) * 4 ** i / (22 + i) for i in range(23)])[::-1]
+_ETA_WEIGHTS = (-1.0) ** np.arange(22, 0, -1) * np.cumsum(_ETA_TERMS)[:-1] / _ETA_TERMS.sum()
+_ETA_LOG_K = -np.log(np.arange(22.0, 0.0, -1.0))[:, None]
+_TWO_J = 2.0 * np.arange(32)
+
+
+def _zeta_ladder(s: float) -> np.ndarray:
+    """Riemann zeta(z) at z = s - 2j, j < 32, for 0 <= s < 62 (inf at z = 1): Borwein's sum at
+    z >= 1, the Laurent series about 1 on [0, 1), where the sum's terms cancel.  Below 0,
+    zeta(z) = 2 (2 pi)^(z-1) sin(pi z/2) Gamma(1-z) zeta(1-z), whose factor gains
+    -(1-z)(2-z)/(2 pi)^2 from z to z - 2 and whose sine has an exact argument: zeta(-2k) = 0."""
+    j0 = math.floor(s / 2.0) + 1   # the first j with z < 0
+    w = s - _TWO_J
+    w[j0:] = 1.0 - w[j0:]   # the sum serves zeta(1 - z) below 0
+    zeta = _ETA_WEIGHTS @ np.exp(_ETA_LOG_K * w) / np.expm1((1.0 - w) * math.log(2.0))
+    d = s - 2.0 * j0 + 1.0   # z - 1 at j = j0 - 1
+    if -1.0 <= d < 0.0:   # z in [0, 1)
+        zeta[j0 - 1] = 1.0 / d + sum(c * d ** i for i, c in enumerate(_ZETA1_REGULAR))
+    z0 = 2.0 * j0 - s   # -z at j = j0, in (0, 2]
+    ratio = w[j0 - 1:-1] * (w[j0 - 1:-1] + 1.0) / -(2.0 * math.pi) ** 2
+    ratio[0] = (-2.0 * (2.0 * math.pi) ** (-1.0 - z0) * math.gamma(1.0 + z0)
+                * math.sin(0.5 * math.pi * min(z0, 2.0 - z0)))
+    zeta[j0:] *= np.multiply.accumulate(ratio)
+    return zeta
 
 
 def _korobov_series(theta, alpha: float):
@@ -173,13 +201,10 @@ def _korobov_series(theta, alpha: float):
     s = 2.0 * alpha
     if s >= 40.0:
         return np.cos(mu) + np.cos(2.0 * mu) * 2.0 ** -s + np.cos(3.0 * mu) * 3.0 ** -s
-    # 240-270 ms cold by -X importtime (scipy 1.17, 2-core Xeon): kept out of start-up
-    from scipy.special import polygamma, zeta
-
-    coeffs = zeta(s - 2.0 * np.arange(32)) * _SIGNED_INV_FACTORIALS
     r = int(round(s))
     d = s - r   # exact, so cos(pi s/2) below keeps its digits near an odd s
     if r % 2 == 0 or abs(d) >= 1e-3:
+        coeffs = _zeta_ladder(s) * _SIGNED_INV_FACTORIALS
         half = 0.5 * math.pi * d
         cos_half = (-1.0) ** (r // 2) * (math.cos(half) if r % 2 == 0 else -math.sin(half))
         lead = math.pi / (2.0 * math.gamma(s) * cos_half)
@@ -189,15 +214,20 @@ def _korobov_series(theta, alpha: float):
     # with F(d) = (pi d/2) / sin(pi d/2) * (2n)! / Gamma(2n + 1 + d).  The first
     # bracket and log F are Taylor series in d; expm1 keeps the second exact.
     n = r // 2
-    coeffs[n] = 0.0
-    # log F: log(x / sin x) at x = pi d/2 minus the Taylor series of log Gamma
-    log_f = [0.0] + [-float(polygamma(k - 1, 2 * n + 1)) / math.factorial(k) for k in range(1, 5)]
+    # log F: log(x / sin x) at x = pi d/2 minus log Gamma's Taylor series about 2n + 1, whose
+    # -psi^(k-1)(2n + 1)/k! = (-1)^(k+1) (zeta(k) - sum_{i<=2n} i^-k)/k, gamma for zeta(1)
+    k = np.arange(1, 5)
+    zeta_k = [_ZETA1_REGULAR[0], math.pi ** 2 / 6.0, 1.2020569031595942, math.pi ** 4 / 90.0]
+    tails = zeta_k - (np.arange(1.0, 2 * n + 1) ** -k[:, None]).sum(axis=1)
+    log_f = np.append(0.0, (-1.0) ** (k + 1) * tails / k)
     log_f[2] += math.pi ** 2 / 24.0
     log_f[4] += math.pi ** 4 / 2880.0
     with np.errstate(divide="ignore", invalid="ignore"):
+        coeffs = _zeta_ladder(s) * _SIGNED_INV_FACTORIALS   # its pole at j = n merges below
+        coeffs[n] = 0.0
         log_mu = np.log(mu)
         pole = np.expm1(d * log_mu + np.polyval(log_f[::-1], d)) / d if d else log_mu + log_f[1]
-        bracket = np.polyval(_ZETA1_REGULAR, d) - pole
+        bracket = sum(c * d ** i for i, c in enumerate(_ZETA1_REGULAR)) - pole
         # mu = 0 leaves the bracket infinite only where mu^2n vanishes (n >= 1)
         term = np.where(mu == 0.0, 0.0, mu ** (2 * n) * bracket) if n else bracket
     return (-1.0) ** n / math.factorial(2 * n) * term + np.polyval(coeffs[::-1], mu * mu)

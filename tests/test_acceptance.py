@@ -77,7 +77,7 @@ def test_criterion_13_goodcase_and_classification():
 
 
 def test_criterion_14_solvers_match_dense_eigvalsh():
-    assert len(_run("14")) == 7
+    assert len(_run("14")) == 8
 
 
 def test_fail_hook_is_a_working_negative_control(fail_hook):

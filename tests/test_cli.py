@@ -821,6 +821,15 @@ def test_verify_reduction_slow_power_iteration_seed():
                 "--samples", "5", "--seed", "504"]) == 0
 
 
+def test_verify_reduction_passes_at_every_seed_the_benchmark_can_draw(tmp_path):
+    # the benchmark's cli job runs this command; 50 drawn seeds all exit 0, so
+    # the job can take its seed from the benchmark's
+    out = tmp_path / "report.json"
+    for seed in range(50):
+        assert run(["verify-reduction", "--problems", "10", "--trials", "2", "--samples", "5",
+                    "--seed", str(seed), "--out", str(out)]) == 0, seed
+
+
 def test_reproduce_prints_only_the_table(capsys):
     assert run(["reproduce", "--only", "11"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -845,8 +854,8 @@ def _run_python(code, *args):
 
 
 def test_cli_import_loads_neither_mpmath_nor_scipy_special():
-    # scipy.special is imported where the Korobov series needs it, every
-    # Nystrom solver is numpy alone, and mpmath is only a test oracle
+    # no command loads scipy: the Korobov series takes its zeta values from
+    # numpy, as every Nystrom solver does, and mpmath is only a test oracle
     modules = {"mpmath", "scipy.special", "scipy.sparse", "scipy.linalg", "scipy.integrate"}
     code = f"import sys, tensortract.cli; print(sorted({modules!r} & set(sys.modules)))"
     assert _run_python(code).strip() == "[]"
@@ -871,6 +880,10 @@ run(["density", "--samples", "65", "--out", sys.argv[1]])
 run(["verify-reduction", "--problems", "3", "--trials", "2", "--samples", "5"])
 run(["oracle-eigs", "--family", "korobov", "--alpha", "1", "--beta", "0.5",
      "--grid-size", "64"])
+run(["oracle-eigs", "--family", "korobov", "--alpha", "0.75", "--beta", "0.5",
+     "--grid-size", "200"])
+run(["oracle-eigs", "--family", "korobov", "--alpha", "1.4999", "--beta", "0.5",
+     "--grid-size", "200"])
 run(["oracle-eigs", "--grid-size", "400"])
 run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "3000", "--count", "3000"])
 run(["oracle-eigs", "--family", "sobolev-min", "--grid-size", "1000000", "--count", "5"])
@@ -886,7 +899,8 @@ print(json.dumps({"small": small, "reproduce": scipy_modules()}))
 
 
 def test_cli_subcommands_run_without_scipy(tmp_path):
-    # only the non-even Korobov series needs scipy
+    # no command loads scipy, the non-even Korobov series (alpha = 0.75, and
+    # 1.4999 near an odd 2 alpha) included
     loaded = json.loads(_run_python(_SCIPY_FREE_CALLS, str(tmp_path / "density")))
     assert loaded["small"] == []
     assert loaded["reproduce"] == []

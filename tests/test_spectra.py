@@ -3,12 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensortract import (DomainError, EigenSequence, KernelSpec,
                          ParameterError, gram_matrix, kernel_eval)
-from tensortract.spectra import FAMILIES, _korobov_series
+from tensortract.spectra import FAMILIES, _korobov_series, _zeta_ladder
 
 MIN = KernelSpec("sobolev-min")
 COSH = KernelSpec("sobolev-cosh")
@@ -114,6 +115,52 @@ def test_korobov_series_matches_mpmath_oracle():
             ref = np.array([float(_korobov_series_mpmath(s, t)) for t in ORACLE_THETAS])
         worst = max(worst, float(np.max(np.abs(got - ref))))
     assert worst <= 1e-11
+
+
+# 2 alpha = 2n + 1 -+ 5e-4 for every odd order below 40 that keeps alpha > 1/2: the merged
+# pole at each n reads psi^(k)(2n + 1) from its closed form.  The thetas are mu = 0, tiny
+# mu, mu = pi (the largest series terms) and one interior point
+POLE_ALPHAS = [(2 * n + 1 + d) / 2 for n in range(20) for d in (-5e-4, 5e-4) if 2 * n + 1 + d > 1]
+POLE_THETAS = np.array([0.0, 1e-12, 1e-6, 0.1, 0.5])
+
+
+def test_korobov_series_merged_pole_matches_mpmath_at_every_odd_order():
+    worst = 0.0
+    for alpha in POLE_ALPHAS:
+        got = _korobov_series(POLE_THETAS, alpha)
+        with mpmath.workdps(40):
+            s = 2 * mpmath.mpf(alpha)
+            ref = np.array([float(_korobov_series_mpmath(s, t)) for t in POLE_THETAS])
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-11
+
+
+# s across the series' range (1, 40): random, just off the even and odd orders, and even,
+# so that the ladder z = s - 2j meets (0, 1) near both ends, z = 0 and the trivial zeros
+ZETA_S = np.concatenate([np.random.default_rng(11).uniform(1.0, 40.0, 60),
+                         [1.02, 1.5 + 1e-9, 2.0001, 2.5, 2.9999, 3.0001, 3.5, 4.0, 8.0, 10.25,
+                          21.0 - 1e-6, 38.0, 39.9]])
+
+
+def test_zeta_ladder_matches_mpmath_at_least_as_well_as_scipy():
+    # each zeta(s - 2j) enters the series as the coefficient of mu^2j / (2j)!: weigh the
+    # error of each by pi^2j / (2j)!, its size at mu = pi, against the sum of the terms there
+    j = np.arange(32)
+    weights = np.array([math.pi ** (2 * k) / math.factorial(2 * k) for k in j])
+    worst, worst_scipy = 0.0, 0.0
+    for s in ZETA_S:
+        z = s - 2.0 * j
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.zeta(mpmath.mpf(float(x)))) for x in z])
+        got = _zeta_ladder(float(s))
+        total = np.sum(np.abs(ref) * weights)
+        worst = max(worst, float(np.max(np.abs(got - ref) * weights)) / total)
+        worst_scipy = max(worst_scipy,
+                          float(np.max(np.abs(scipy.special.zeta(z) - ref) * weights)) / total)
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)   # exactly the trivial zeros
+        if s == int(s) and s % 2 == 0:
+            assert got[int(s) // 2] == -0.5   # zeta(0)
+    assert worst <= worst_scipy
 
 
 def test_sobolev_distance_reduces_to_min_at_zero_anchor():
